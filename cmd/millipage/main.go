@@ -333,19 +333,6 @@ func parseSimDuration(s string) (sim.Duration, error) {
 	return sim.Duration(d.Nanoseconds()), nil
 }
 
-// halves splits an n-host cluster into first-half / second-half bitmasks
-// for the -partition flag.
-func halves(n int) (a, b uint64) {
-	for i := 0; i < n; i++ {
-		if i < n/2 {
-			a |= 1 << uint(i)
-		} else {
-			b |= 1 << uint(i)
-		}
-	}
-	return a, b
-}
-
 func runChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	cfg := bench.DefaultChaos()
@@ -384,7 +371,7 @@ func runChaos(args []string) error {
 		if err != nil {
 			return fmt.Errorf("bad -partition: %w", err)
 		}
-		a, b := halves(cfg.Hosts)
+		a, b := faultnet.Halves(cfg.Hosts)
 		cfg.Plan.Partitions = append(cfg.Plan.Partitions, faultnet.Partition{
 			A: a, B: b, From: sim.Time(from), Until: sim.Time(until),
 		})

@@ -21,15 +21,12 @@ func TestMsgHopAllocFree(t *testing.T) {
 	}
 }
 
-// TestE2ESOR8AllocsRegression is the allocation gate on the end-to-end
-// acceptance workload: it reads the E2ESOR8 allocs/op pinned in
-// BENCH_sim.json at the repo root and fails if the current simulator
-// exceeds twice that value. Allocation counts are deterministic enough
-// for a 2x fence (unlike wall-clock time, which shared CI boxes make
-// unpinnable), so this catches a pooling regression — a leaked fast
-// path, a pool gated off, per-message garbage reintroduced — before it
-// shows up as a slow simulator.
-func TestE2ESOR8AllocsRegression(t *testing.T) {
+// checkAllocsPin runs bench and fails if its allocs/op exceed twice the
+// value pinned for row name in BENCH_sim.json at the repo root.
+// Allocation counts are deterministic enough for a 2x fence (unlike
+// wall-clock time, which shared CI boxes make unpinnable).
+func checkAllocsPin(t *testing.T, name string, bench func(b *testing.B)) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs a full benchmark")
 	}
@@ -45,87 +42,53 @@ func TestE2ESOR8AllocsRegression(t *testing.T) {
 	}
 	var pinned int64
 	for _, p := range report.Benchmarks {
-		if p.Name == "E2ESOR8" {
+		if p.Name == name {
 			pinned = p.AllocsPerOp
 		}
 	}
 	if pinned <= 0 {
-		t.Fatal("BENCH_sim.json has no E2ESOR8 allocs/op pin")
+		t.Fatalf("BENCH_sim.json has no %s allocs/op pin", name)
 	}
-	r := testing.Benchmark(benchE2ESOR8)
+	r := testing.Benchmark(bench)
 	if got := r.AllocsPerOp(); got > 2*pinned {
-		t.Fatalf("E2ESOR8 allocates %d objects/op, more than 2x the pinned %d", got, pinned)
+		t.Fatalf("%s allocates %d objects/op, more than 2x the pinned %d", name, got, pinned)
 	}
+}
+
+// TestE2ESOR8AllocsRegression is the allocation gate on the end-to-end
+// acceptance workload, E2ESOR8: it catches a pooling regression — a
+// leaked fast path, a pool gated off, per-message garbage reintroduced —
+// before it shows up as a slow simulator.
+func TestE2ESOR8AllocsRegression(t *testing.T) {
+	checkAllocsPin(t, "E2ESOR8", benchE2ESOR8)
 }
 
 // TestE2ESOR64ParAllocsRegression extends the allocation gate to the
-// parallel engine's steady state, against the ParSpeedup row pinned in
-// BENCH_sim.json. The sharded path has its own ways to regress that the
-// sequential workload never exercises: goroutines spawned per window
-// instead of pooled, a sorting closure or reflect swapper on the merge
-// barrier, outbox capacity dropped instead of recycled — each one
-// multiplies by the tens of thousands of windows in a run.
+// parallel engine's steady state, against the ParSpeedup row. The
+// sharded path has its own ways to regress that the sequential workload
+// never exercises: goroutines spawned per window instead of pooled, a
+// sorting closure or reflect swapper on the merge barrier, outbox
+// capacity dropped instead of recycled — each one multiplies by the
+// tens of thousands of windows in a run.
 func TestE2ESOR64ParAllocsRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full benchmark")
-	}
-	blob, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Skipf("no pinned report: %v", err)
-	}
-	var report struct {
-		Benchmarks []PerfPoint `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
-	var pinned int64
-	for _, p := range report.Benchmarks {
-		if p.Name == "ParSpeedup" {
-			pinned = p.AllocsPerOp
-		}
-	}
-	if pinned <= 0 {
-		t.Fatal("BENCH_sim.json has no ParSpeedup allocs/op pin")
-	}
-	r := testing.Benchmark(benchE2ESOR64Par)
-	if got := r.AllocsPerOp(); got > 2*pinned {
-		t.Fatalf("64-host parallel SOR allocates %d objects/op, more than 2x the pinned %d", got, pinned)
-	}
+	checkAllocsPin(t, "ParSpeedup", benchE2ESOR64Par)
 }
 
-// TestE2EServeAllocsRegression gates the serving path's steady state: it
-// reads the E2EServe8 allocs/op pinned in BENCH_sim.json at the repo
-// root and fails if the current scenario run exceeds twice that value.
-// The pin is setup-dominated (~1.2k allocations for a 20k-op scenario),
-// so per-op garbage on the GET/PUT hot loop — a boxed histogram add, an
-// interface escape in the generator, a per-response oracle allocation —
-// multiplies past the fence immediately.
+// TestE2EServeAllocsRegression gates the serving path's steady state
+// against the E2EServe8 row. The pin is setup-dominated (~1.2k
+// allocations for a 20k-op scenario), so per-op garbage on the GET/PUT
+// hot loop — a boxed histogram add, an interface escape in the
+// generator, a per-response oracle allocation — multiplies past the
+// fence immediately.
 func TestE2EServeAllocsRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full benchmark")
-	}
-	blob, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Skipf("no pinned report: %v", err)
-	}
-	var report struct {
-		Benchmarks []PerfPoint `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
-	var pinned int64
-	for _, p := range report.Benchmarks {
-		if p.Name == "E2EServe8" {
-			pinned = p.AllocsPerOp
-		}
-	}
-	if pinned <= 0 {
-		t.Fatal("BENCH_sim.json has no E2EServe8 allocs/op pin")
-	}
-	r := testing.Benchmark(benchE2EServe8)
-	if got := r.AllocsPerOp(); got > 2*pinned {
-		t.Fatalf("serving scenario allocates %d objects/op, more than 2x the pinned %d", got, pinned)
-	}
+	checkAllocsPin(t, "E2EServe8", benchE2EServe8)
+}
+
+// TestE2EServeDropHeavyAllocsRegression is the faulty-path gate, against
+// the E2EServeDropHeavy row: the same serving harness under a quarter of
+// frames dropped and 15% duplicated. Its pin is setup-dominated too, so
+// a fault path that stops recycling — a header or snapshot allocated per
+// retransmitted step, a closure per retry timer — blows through it.
+func TestE2EServeDropHeavyAllocsRegression(t *testing.T) {
+	checkAllocsPin(t, "E2EServeDropHeavy", benchE2EServeDropHeavy)
 }

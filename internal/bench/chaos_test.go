@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"millipage/internal/faultnet"
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -18,7 +19,7 @@ func TestChaosAllProtocols(t *testing.T) {
 		cfg := DefaultChaos()
 		cfg.Protocol = proto
 		cfg.Plan.Partitions = []faultnet.Partition{{
-			A: 0b0011, B: 0b1100,
+			A: hostset.Of(0, 1), B: hostset.Of(2, 3),
 			From: sim.Time(2 * sim.Millisecond), Until: sim.Time(10 * sim.Millisecond),
 		}}
 		cfg.Plan.Crashes = []faultnet.Crash{{

@@ -9,6 +9,7 @@ import (
 	"millipage/internal/apps"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
+	"millipage/internal/hostset"
 	"millipage/internal/serve"
 	"millipage/internal/sim"
 )
@@ -61,6 +62,7 @@ var perfSuite = []struct {
 	{"E2ESOR64", PerfBaseline{102808427, 3651, 72700476}, benchE2ESOR64},
 	{"E2ESOR256", PerfBaseline{285312197, 14497, 167084576}, benchE2ESOR256},
 	{"E2EServe8", PerfBaseline{serveBaselineNs, serveBaselineAllocs, serveBaselineBytes}, benchE2EServe8},
+	{"E2EServeDropHeavy", PerfBaseline{dropHeavyBaselineNs, dropHeavyBaselineAllocs, dropHeavyBaselineBytes}, benchE2EServeDropHeavy},
 }
 
 // The E2EServe8 baseline was frozen when the serving subsystem landed,
@@ -80,6 +82,36 @@ const (
 // the anchor of its allocs/op CI gate (TestE2EServeAllocsRegression).
 func benchE2EServe8(b *testing.B) {
 	sc, err := serve.Lookup("base-millipage")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.Run(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The E2EServeDropHeavy baseline is the row measured just before
+// protocol headers, snapshot buffers and retry timers were pooled on
+// faulty runs too (until then every fault-path buffer was a fresh
+// allocation), so its allocs column reads as the gain from that
+// single ownership rule.
+const (
+	dropHeavyBaselineNs     = 37_447_752
+	dropHeavyBaselineAllocs = 13_996
+	dropHeavyBaselineBytes  = 3_372_230
+)
+
+// benchE2EServeDropHeavy: the serving "drop-heavy" scenario (4 hosts,
+// 2k Zipfian ops under SC-Millipage with a quarter of all frames dropped
+// and 15% duplicated) — the faulty-path twin of E2EServe8, exercising
+// the reliability layer's retransmissions, the protocol's retry timers
+// and dedup, and the deferred release of payloads until their frames
+// are acked. It anchors the faulty-path allocs/op gate
+// (TestE2EServeDropHeavyAllocsRegression).
+func benchE2EServeDropHeavy(b *testing.B) {
+	sc, err := serve.Lookup("drop-heavy")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,7 +197,7 @@ func benchMsgHopReliable(b *testing.B) {
 	nw := fastmsg.New(eng, 2, fastmsg.DefaultParams())
 	far := sim.Time(1 << 60)
 	inj, err := faultnet.NewInjector(faultnet.Plan{
-		Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}},
+		Partitions: []faultnet.Partition{{A: hostset.One(0), B: hostset.One(1), From: far, Until: far + 1}},
 	}, 2, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -354,7 +386,7 @@ func WritePerfBench(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	report.Note = fmt.Sprintf("wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the ParSpeedup row whose baseline is the sequential-engine E2ESOR64 measured in the same invocation (speedup = seq wall / par wall at %d shard workers on %d machine cores — below 1 when cores < workers), and the E2EServe8 row whose baseline was frozen when the serving subsystem landed",
+	report.Note = fmt.Sprintf("wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the ParSpeedup row whose baseline is the sequential-engine E2ESOR64 measured in the same invocation (speedup = seq wall / par wall at %d shard workers on %d machine cores — below 1 when cores < workers), the E2EServe8 row whose baseline was frozen when the serving subsystem landed, and the E2EServeDropHeavy row whose baseline is the same scenario measured just before faulty runs pooled their payloads",
 		parBenchWorkers, runtime.GOMAXPROCS(0))
 	report.Benchmarks = pts
 	if err := writeBenchReport(path, report); err != nil {

@@ -42,15 +42,7 @@ func schedules() []schedule {
 			return &faultnet.Plan{Seed: seed, Drop: 0.05, Reorder: 0.6, Jitter: 3 * sim.Millisecond}
 		}},
 		{"partition-heal", func(hosts int, seed int64) *faultnet.Plan {
-			half := hosts / 2
-			var a, b uint64
-			for h := 0; h < hosts; h++ {
-				if h < half {
-					a |= 1 << uint(h)
-				} else {
-					b |= 1 << uint(h)
-				}
-			}
+			a, b := faultnet.Halves(hosts)
 			return &faultnet.Plan{
 				Seed: seed,
 				Drop: 0.05,

@@ -49,22 +49,27 @@ type Host struct {
 	inflight []*retryEntry
 }
 
-// retryEntry is one registered in-flight blocking request.
+// retryEntry is one registered in-flight blocking request and the
+// state of its re-send timer chain (see Thread.BlockRetry).
 type retryEntry struct {
+	t      *Thread // owner; the record returns to its freelist
 	fw     *Wait
-	gen    uint64            // Wait generation at registration; staleness guard
-	resend func(p *sim.Proc) // re-issues the request (p may be nil: engine context)
+	gen    uint64       // Wait generation at registration; staleness guard
+	resend Resender     // re-issues the request (engine context allowed)
+	delay  sim.Duration // the chain's current backoff
 }
+
+// live reports whether the registered transaction is still waiting.
+func (ent *retryEntry) live() bool { return ent.fw.gen == ent.gen && !ent.fw.Ev.IsSet() }
 
 // resendInflight re-issues every still-pending blocking request, in
 // registration order. Crash recovery calls it after protocol recovery.
 func (h *Host) resendInflight(p *sim.Proc) {
 	live := append([]*retryEntry(nil), h.inflight...)
 	for _, ent := range live {
-		if ent.fw.gen != ent.gen || ent.fw.Ev.IsSet() {
-			continue
+		if ent.live() {
+			ent.resend.Resend(p)
 		}
-		ent.resend(p)
 	}
 }
 
@@ -104,8 +109,9 @@ func (h *Host) onMessage(p *sim.Proc, fm *fastmsg.Message) {
 }
 
 // Send ships a header-sized protocol message to host `to` in a pooled
-// envelope (the envelope is recycled after the destination handler
-// returns; the payload object survives).
+// envelope. The payload goes to the protocol's release function when
+// the envelope dies, unless the handler took it (fastmsg.Network.SetRelease);
+// without one it simply survives.
 func (h *Host) Send(p *sim.Proc, to int, payload any) {
 	h.SendSized(p, to, payload, h.rt.Cfg.Costs.HeaderSize)
 }

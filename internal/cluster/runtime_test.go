@@ -84,3 +84,49 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("zero cost/net tables not defaulted")
 	}
 }
+
+// countResender counts BlockRetry re-sends.
+type countResender struct{ n int }
+
+func (r *countResender) Resend(p *sim.Proc) { r.n++ }
+
+func setEvent(a any) { a.(*sim.Event).Set() }
+
+// TestBlockRetryAllocFree pins BlockRetry's steady state: once the
+// thread's retry freelist is warm, a retried transaction — registration,
+// every backoff timer, the end of its timer chain — allocates nothing,
+// and a chain outliving its transaction never re-sends for the next one.
+func TestBlockRetryAllocFree(t *testing.T) {
+	run := func(n int) (allocs float64, resends int) {
+		allocs = testing.AllocsPerRun(5, func() {
+			rt := newTestRuntime(1, 1)
+			r := &countResender{}
+			if err := rt.Run(func(ct *Thread) func() {
+				return func() {
+					for i := 0; i < n; i++ {
+						// Woken at 25ms: the chain re-sends at 10ms, and its
+						// next timer (30ms) fires into the next transaction.
+						fw := ct.WaitSlot()
+						ct.h.sh.AfterArg(25*sim.Millisecond, setEvent, fw.Ev)
+						ct.BlockRetry(fw, 10*sim.Millisecond, r)
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			resends = r.n
+		})
+		return allocs, resends
+	}
+	small, _ := run(100)
+	large, resends := run(2100)
+	if resends != 2100 {
+		t.Fatalf("%d re-sends for 2100 transactions, want one each", resends)
+	}
+	// AllocsPerRun counts the whole process's mallocs, so a stray runtime
+	// allocation can land in one run; one object per transaction would
+	// add 2000.
+	if extra := large - small; extra > 2 {
+		t.Fatalf("2000 more retried transactions allocate %.0f more objects, want 0", extra)
+	}
+}

@@ -60,6 +60,9 @@ type Thread struct {
 	// use to tag retryable requests.
 	txnSeq uint64
 
+	// freeRetry holds BlockRetry records whose timer chains have ended.
+	freeRetry []*retryEntry
+
 	Stats ThreadStats
 }
 
@@ -134,36 +137,33 @@ func (t *Thread) BlockOn(ev *sim.Event) {
 // retryMax caps the exponential backoff of BlockRetry's re-send timer.
 const retryMax = 200 * sim.Millisecond
 
+// Resender re-issues a thread's in-flight blocking request (BlockRetry).
+// Resend may be invoked from engine context (p == nil) and must not
+// block; receivers deduplicate by the transaction id stamped in the
+// request.
+type Resender interface {
+	Resend(p *sim.Proc)
+}
+
 // BlockRetry is Block for requests that must survive faults: while the
-// thread is parked, a timer re-issues the request via resend with
+// thread is parked, a timer re-issues the request via r.Resend with
 // exponential backoff (base, 2·base, ... capped at retryMax), and the
 // request is registered in the host's in-flight table so crash recovery
-// re-sends it immediately after restart. resend may be invoked from
-// engine context (p == nil) and must not block; receivers deduplicate by
-// the transaction id stamped in fw.Txn. The timer and the registration
+// re-sends it immediately after restart. The timer and the registration
 // both die when fw's event is set or the slot is recycled.
-func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, resend func(p *sim.Proc)) {
+//
+// The timer chain runs on a retry record from the thread's freelist,
+// scheduled with AfterArg on a callback that is never rebound, so a
+// retried transaction allocates nothing. A chain keeps its record until
+// its last timer fires and finds the transaction over (the calendar
+// holds exactly one event per chain at any time); only then does the
+// record go back to the freelist.
+func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, r Resender) {
 	h := t.h
-	ent := &retryEntry{fw: fw, gen: fw.gen, resend: resend}
+	ent := t.newRetry()
+	ent.fw, ent.gen, ent.resend, ent.delay = fw, fw.gen, r, base
 	h.inflight = append(h.inflight, ent)
-
-	sh := h.sh
-	delay := base
-	var fire func()
-	fire = func() {
-		if fw.gen != ent.gen || fw.Ev.IsSet() {
-			return
-		}
-		resend(nil)
-		if delay < retryMax {
-			delay *= 2
-			if delay > retryMax {
-				delay = retryMax
-			}
-		}
-		sh.After(delay, fire)
-	}
-	sh.After(delay, fire)
+	h.sh.AfterArg(base, retryFire, ent)
 
 	t.Block(fw)
 
@@ -173,6 +173,38 @@ func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, resend func(p *sim.Proc
 			break
 		}
 	}
+}
+
+// newRetry pops a retry record off the thread's freelist.
+func (t *Thread) newRetry() *retryEntry {
+	if n := len(t.freeRetry); n > 0 {
+		ent := t.freeRetry[n-1]
+		t.freeRetry = t.freeRetry[:n-1]
+		return ent
+	}
+	return &retryEntry{t: t}
+}
+
+// retryFire is one BlockRetry timer: re-send and re-arm with doubled
+// backoff while the transaction is open, or end the chain and recycle
+// its record. It is a plain function, so scheduling it never allocates.
+func retryFire(a any) {
+	ent := a.(*retryEntry)
+	if !ent.live() {
+		// Staleness is permanent (generations only grow), so the record
+		// may sit in the freelist while its thread, not yet resumed, still
+		// lists it in the in-flight table.
+		ent.t.freeRetry = append(ent.t.freeRetry, ent)
+		return
+	}
+	ent.resend.Resend(nil)
+	if ent.delay < retryMax {
+		ent.delay *= 2
+		if ent.delay > retryMax {
+			ent.delay = retryMax
+		}
+	}
+	ent.t.h.sh.AfterArg(ent.delay, retryFire, ent)
 }
 
 // ResetStats zeroes the thread's accumulated statistics and restarts its

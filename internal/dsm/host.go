@@ -39,63 +39,100 @@ type Host struct {
 	// prefetched region is accounted as prefetch wait, not a read fault.
 	prefetchSpans []span
 
+	// freePF holds prefetch re-send records whose timer chains ended.
+	freePF []*prefetchRetry
+
 	Stats HostStats
 }
 
-// allocPM returns a protocol header for a message whose consumer will
-// recycle it. The caller must fully initialize the result (*m = pmsg{...});
-// pooled headers are returned dirty. The freelists belong to the host's
-// calendar shard (every host shares one on the sequential engine; each
-// host owns its own under the parallel engine) and stay empty under
-// fault injection: retries, duplicate drops and late replies can
-// reference a header after its transaction closed, so the faulty path
-// keeps fresh allocations and its existing lifetime rules.
-func (h *Host) allocPM() *pmsg {
+// Protocol headers follow cluster.Life's ownership rule on clean and
+// faulty runs alike. In dsm terms: a faulting thread keeps its request
+// as a template and sends pooled copies; every directory-bound message
+// and every reply header awaiting its data message is taken by its
+// handler and freed with releasePM; everything else, and every snapshot
+// buffer, comes back through releaseEnvelope when its envelope dies.
+// The freelists belong to the host's calendar shard: every host shares
+// one on the sequential engine; under the parallel engine each host owns
+// its own, balanced through a shared overflow (pmSpill).
+
+// newPM returns a pooled header holding v, owned by the caller.
+func (h *Host) newPM(v pmsg) *pmsg {
 	pool := h.pool
-	if n := len(pool.freePM); n > 0 && !h.sys.rt.Faulty() {
-		m := pool.freePM[n-1]
-		pool.freePM = pool.freePM[:n-1]
-		return m
+	if len(pool.freePM) == 0 && pool.spill != nil {
+		pool.refill()
 	}
-	return &pmsg{}
+	var m *pmsg
+	if n := len(pool.freePM); n > 0 {
+		m = pool.freePM[n-1]
+		pool.freePM = pool.freePM[:n-1]
+	} else {
+		m = &pmsg{}
+	}
+	*m = v
+	m.life = cluster.Owned
+	return m
 }
 
-// recyclePM returns a fully consumed pooled header to the freelist. Only
-// headers obtained from allocPM may be recycled — never a thread's fault
-// request (those live in the thread's own slot) and never dataMarker.
-func (h *Host) recyclePM(m *pmsg) {
-	if h.sys.rt.Faulty() {
-		return
+// releasePM frees a header the protocol owns: one from newPM that was
+// never sent, or one a handler took. Literal headers are left alone.
+func (h *Host) releasePM(m *pmsg) {
+	if m.life.Release(m.Type) {
+		h.freePM(m)
 	}
-	h.pool.freePM = append(h.pool.freePM, m)
+}
+
+func (h *Host) freePM(m *pmsg) {
+	*m = pmsg{Type: m.Type, life: cluster.Free} // the type names it in lifecycle panics
+	pool := h.pool
+	pool.freePM = append(pool.freePM, m)
+	if pool.spill != nil && len(pool.freePM) >= 2*spillBatch {
+		pool.spillOver()
+	}
+}
+
+// Send ships a protocol header to host `to`. It shadows the substrate's
+// untyped Send so every header passes the lifecycle check: a pooled
+// header moves from its owner to the network, exactly once.
+func (h *Host) Send(p *sim.Proc, to int, m *pmsg) {
+	m.life.Send(m.Type)
+	h.Host.Send(p, to, m)
+}
+
+// take claims a delivered header for the handler, which must free it
+// with releasePM once done (see fastmsg.Message.Take).
+func take(fm *fastmsg.Message) *pmsg {
+	m := fm.Take().(*pmsg)
+	m.life.Take()
+	return m
+}
+
+// releaseEnvelope is the network's release function: it recycles a dead
+// envelope's header (unless a handler took it) and snapshot buffer into
+// the destination host's freelists.
+func (s *System) releaseEnvelope(fm *fastmsg.Message) {
+	h := s.hosts[fm.To]
+	if m, _ := fm.Payload.(*pmsg); m != nil && m.life.NetRelease(m.Type) {
+		h.freePM(m)
+	}
+	if cap(fm.Data) > 0 {
+		h.pool.freeBuf = append(h.pool.freeBuf, fm.Data)
+	}
 }
 
 // allocBuf returns a byte buffer of length n for a minipage snapshot
-// that travels on a data message; the receiver recycles it after
-// installing the bytes.
+// that travels on a data message; it comes back through releaseEnvelope
+// once the message is delivered (and, under faults, acked).
 func (h *Host) allocBuf(n int) []byte {
 	pool := h.pool
-	if !h.sys.rt.Faulty() {
-		for i := len(pool.freeBuf) - 1; i >= 0; i-- {
-			if cap(pool.freeBuf[i]) >= n {
-				b := pool.freeBuf[i][:n]
-				pool.freeBuf[i] = pool.freeBuf[len(pool.freeBuf)-1]
-				pool.freeBuf = pool.freeBuf[:len(pool.freeBuf)-1]
-				return b
-			}
+	for i := len(pool.freeBuf) - 1; i >= 0; i-- {
+		if cap(pool.freeBuf[i]) >= n {
+			b := pool.freeBuf[i][:n]
+			pool.freeBuf[i] = pool.freeBuf[len(pool.freeBuf)-1]
+			pool.freeBuf = pool.freeBuf[:len(pool.freeBuf)-1]
+			return b
 		}
 	}
 	return make([]byte, n)
-}
-
-// recycleBuf returns a delivered snapshot buffer to the freelist. The
-// faulty path keeps buffers live: retransmission can re-ship a frame
-// after first delivery.
-func (h *Host) recycleBuf(b []byte) {
-	if h.sys.rt.Faulty() || cap(b) == 0 {
-		return
-	}
-	h.pool.freeBuf = append(h.pool.freeBuf, b)
 }
 
 type span struct {
@@ -150,7 +187,7 @@ func (h *Host) route(p *sim.Proc, va uint64) (int, core.Info) {
 }
 
 // readMinipage snapshots a minipage's bytes through the privileged view
-// into a pooled buffer (recycled by the receiver once installed).
+// into a pooled buffer (recycled when its data message dies).
 func (h *Host) readMinipage(info core.Info) []byte {
 	data := h.allocBuf(info.Size)
 	if err := h.Region.ReadPrivInto(info.Base, data); err != nil {
@@ -182,17 +219,11 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		typ = mWriteReq
 	}
 	home, info := h.route(p, f.Addr)
-	// A fault transaction never references the request after the faulting
-	// thread wakes (the home forwards a copy and clears pendingWrite before
-	// granting), so on the clean path the request lives in a per-thread
-	// slot. The faulty path allocates fresh: retry copies and dedup can
-	// keep the original reachable past the wake.
-	var req *pmsg
-	if h.sys.rt.Faulty() {
-		req = &pmsg{}
-	} else {
-		req = &t.reqMsg
-	}
+	// The request lives on as the thread's template: the home mutates
+	// and may queue what it receives (Info fill-in, the Requeued marker),
+	// so every send, first and retry alike, ships a pooled copy that the
+	// home frees. A retry can never pose as a requeued request.
+	req := &t.reqMsg
 	*req = pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}
 	if h.sys.rt.Faulty() {
 		// Tag the transaction so the home can deduplicate retries, send,
@@ -202,22 +233,11 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		req.TID = t.ID
 		req.Txn = t.NextTxn()
 		fw.Txn = req.Txn
-		h.Send(p, home, req)
+		h.Send(p, home, h.newPM(*req))
 		p.Sleep(c.BlockThread)
-		t.BlockRetry(fw, requestRetryBase, func(rp *sim.Proc) {
-			// The home mutates the original request in place (Info fill-in,
-			// Requeued when it pops the queue) — simulator messages travel
-			// by pointer. Re-send a copy with the queue marker cleared, or
-			// the duplicate would bypass the home's dedup check. Under
-			// replicated management the believed primary is recomputed per
-			// retry: that is how a requester finds the promoted backup.
-			cp := *req
-			cp.Requeued = false
-			cp.Redrive = false
-			h.Send(rp, h.primaryFor(req.Info.ID), &cp)
-		})
+		t.BlockRetry(fw, requestRetryBase, t)
 	} else {
-		h.Send(p, home, req)
+		h.Send(p, home, h.newPM(*req))
 		p.Sleep(c.BlockThread)
 		t.Block(fw) // the host may go idle; the poller takes over
 	}
@@ -225,9 +245,8 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 
 	// The ack that closes the transaction at the minipage's home. TID/Txn
 	// (zero on the clean path) let the home record the transaction as done.
-	ack := h.allocPM()
-	*ack = pmsg{Type: mAck, From: h.ID(), Info: fw.Info,
-		Write: f.Kind == vm.Write, TID: t.ID, Txn: fw.Txn}
+	ack := h.newPM(pmsg{Type: mAck, From: h.ID(), Info: fw.Info,
+		Write: f.Kind == vm.Write, TID: t.ID, Txn: fw.Txn})
 	h.Send(p, h.primaryFor(fw.Info.ID), ack)
 
 	elapsed := p.Now().Sub(start)
@@ -248,6 +267,15 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	return nil
 }
 
+// Resend re-issues the thread's in-flight fault request (its BlockRetry
+// resender). Under replicated management the believed primary is
+// recomputed per retry: that is how a requester finds the promoted
+// backup.
+func (t *Thread) Resend(p *sim.Proc) {
+	h := t.host
+	h.Send(p, h.primaryFor(t.reqMsg.Info.ID), h.newPM(t.reqMsg))
+}
+
 // inPrefetchSpan reports whether va falls in a region with an in-flight
 // prefetch issued by this host.
 func (t *Thread) inPrefetchSpan(va uint64) bool {
@@ -265,12 +293,19 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 // allocation and synchronization stay with host 0. Everything else is
 // the thin non-manager protocol of Figure 3 — note that it does no
 // queuing, no table lookups and no translation of any kind.
+//
+// Directory and synchronization traffic is taken from the network on
+// arrival: the directory queues, parks and re-dispatches requests, so it
+// owns each one until it frees it. Every other header is left to the
+// network, which releases it when the envelope dies — except a reply
+// header, which waits in pendingHdr for its data message.
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
 	switch m.Type {
 	// ---- Directory traffic, handled by the minipage's home ----------
 	case mReadReq, mWriteReq, mAck, mInvalidateReply, mPushReq, mPushAck, mDirInit,
 		mPing, mViewUpdate, mMirror, mMirrorAck, mMirrorNak, mStateXfer, mSyncAck:
+		m = take(fm)
 		if rp := h.sys.replAt(h.ID()); rp != nil {
 			rp.dispatchDir(p, m)
 			return
@@ -282,6 +317,7 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 
 	// ---- Allocation and synchronization, centralized on host 0 ------
 	case mAllocReq, mBarrierArrive, mLockReq, mUnlock:
+		m = take(fm)
 		if h.ID() != managerHost {
 			panic(fmt.Sprintf("dsm: host %d received manager message %v", h.ID(), m.Type))
 		}
@@ -300,12 +336,10 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			}
 		}
 		h.Stats.RequestsServed++
-		reply := h.allocPM()
-		*reply = *m
+		reply := h.newPM(*m)
 		reply.Type = mReadReply
 		h.Send(p, m.From, reply)
 		h.SendData(p, m.From, h.readMinipage(m.Info), dataMarker)
-		h.recyclePM(m) // the forwarded request ends here
 
 	case mWriteFwd:
 		// Handle Write Request: invalidate own copy, reply with data. The
@@ -317,12 +351,10 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			panic(err)
 		}
 		h.Stats.RequestsServed++
-		reply := h.allocPM()
-		*reply = *m
+		reply := h.newPM(*m)
 		reply.Type = mWriteReply
 		h.Send(p, m.From, reply)
 		h.SendData(p, m.From, h.readMinipage(m.Info), dataMarker)
-		h.recyclePM(m)
 
 	case mInvalidateReq:
 		c := h.Costs()
@@ -333,15 +365,13 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		h.Stats.Invalidations++
 		// The reply returns to whichever home issued the invalidation,
 		// echoing the transaction identity (zero off the replicated path).
-		rep := h.allocPM()
-		*rep = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn}
+		rep := h.newPM(pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn})
 		h.Send(p, fm.From, rep)
-		h.recyclePM(m)
 
 	// ---- Replies back at the requester ------------------------------
 	case mReadReply, mWriteReply, mPushData:
 		// Header first; the minipage bytes follow on the same channel.
-		h.pendingHdr[fm.From] = m
+		h.pendingHdr[fm.From] = take(fm)
 
 	case mData:
 		hdr := h.pendingHdr[fm.From]
@@ -350,8 +380,7 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		}
 		h.pendingHdr[fm.From] = nil
 		h.installMinipage(p, hdr, fm.Data)
-		h.recyclePM(hdr)
-		h.recycleBuf(fm.Data)
+		h.releasePM(hdr)
 
 	case mUpgradeGrant:
 		if m.Txn != 0 && m.FW.Txn != m.Txn {
@@ -372,7 +401,6 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		}
 		m.FW.Info = m.Info
 		m.FW.Ev.Set()
-		h.recyclePM(m)
 
 	case mAllocReply:
 		if m.FW.Owner = m.Owner; m.Owner {
@@ -384,11 +412,9 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		m.FW.Info = m.Info
 		m.FW.VA = m.AllocVA
 		m.FW.Ev.Set()
-		h.recyclePM(m)
 
 	case mBarrierRelease, mLockGrant:
 		m.FW.Ev.Set()
-		h.recyclePM(m)
 
 	case mPushOrder:
 		h.servePush(p, m)
@@ -437,14 +463,12 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	case hdr.Type == mPushData:
 		// Pushed replica: ack to the home; nobody is waiting. TID/Txn
 		// (zero off the replicated path) match the ack to the open push.
-		ack := h.allocPM()
-		*ack = pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info, TID: hdr.TID, Txn: hdr.Txn}
+		ack := h.newPM(pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info, TID: hdr.TID, Txn: hdr.Txn})
 		h.Send(p, home, ack)
 	case hdr.Prefetch:
 		// Prefetch completion: the server thread closes the transaction.
 		h.clearPrefetchSpan(hdr.Info)
-		ack := h.allocPM()
-		*ack = pmsg{Type: mAck, From: h.ID(), Info: hdr.Info, Write: false, TID: hdr.TID, Txn: hdr.Txn}
+		ack := h.newPM(pmsg{Type: mAck, From: h.ID(), Info: hdr.Info, Write: false, TID: hdr.TID, Txn: hdr.Txn})
 		h.Send(p, home, ack)
 		if hdr.FW != nil {
 			hdr.FW.Ev.Set()
@@ -467,9 +491,8 @@ func (h *Host) replReAck(p *sim.Proc, m *pmsg) {
 		return
 	}
 	rp.Stats.ReAcks++
-	ack := h.allocPM()
-	*ack = pmsg{Type: mAck, From: h.ID(), Info: m.Info,
-		Write: m.Type == mUpgradeGrant || m.Type == mWriteReply, TID: m.TID, Txn: m.Txn}
+	ack := h.newPM(pmsg{Type: mAck, From: h.ID(), Info: m.Info,
+		Write: m.Type == mUpgradeGrant || m.Type == mWriteReply, TID: m.TID, Txn: m.Txn})
 	h.Send(p, h.primaryFor(m.Info.ID), ack)
 }
 
@@ -497,15 +520,13 @@ func (h *Host) servePush(p *sim.Proc, m *pmsg) {
 		if i == h.ID() {
 			continue
 		}
-		hdr := h.allocPM()
-		*hdr = *m
+		hdr := h.newPM(*m)
 		hdr.Type = mPushData
 		h.Send(p, i, hdr)
 		// One snapshot per destination: each buffer is recycled
-		// independently by its receiver's install path.
+		// independently when its data message dies.
 		h.SendData(p, i, h.readMinipage(m.Info), dataMarker)
 	}
-	h.recyclePM(m) // the push order ends here
 }
 
 // clearPrefetchSpan removes the in-flight markers satisfied by the

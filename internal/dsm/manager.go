@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"millipage/internal/cluster"
-	"millipage/internal/hostset"
 	"millipage/internal/core"
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -15,7 +15,7 @@ import (
 // and only here: non-manager hosts never queue (Section 3.3).
 type dirEntry struct {
 	copyset hostset.Set // hosts holding a valid copy
-	owner   int    // preferred replica: last writer (or allocator)
+	owner   int         // preferred replica: last writer (or allocator)
 
 	busy  bool
 	queue cluster.FIFO[*pmsg]
@@ -192,33 +192,40 @@ func (mg *manager) dropDup(m *pmsg) bool {
 	return false
 }
 
-// dispatch routes one manager-bound message.
+// dispatch routes one manager-bound message, which the directory owns
+// (HandleMessage took it from the network). Requests, barrier arrivals
+// and lock requests may outlive their handler — queued behind an open
+// transaction, parked until a DIR_INIT, pending invalidations, held by
+// the barrier or lock service — so their handlers free them where they
+// end. Every other message ends with its handler and is freed here.
 func (mg *manager) dispatch(p *sim.Proc, m *pmsg) {
 	switch m.Type {
-	case mReadReq:
+	case mReadReq, mWriteReq:
 		if mg.dropDup(m) {
-			return
+			mg.host().releasePM(m)
+		} else if m.Type == mReadReq {
+			mg.handleRead(p, m)
+		} else {
+			mg.handleWrite(p, m)
 		}
-		mg.handleRead(p, m)
-	case mWriteReq:
-		if mg.dropDup(m) {
-			return
-		}
-		mg.handleWrite(p, m)
+		return
+	case mPushReq:
+		mg.handlePush(p, m)
+		return
+	case mBarrierArrive:
+		mg.handleBarrier(p, m)
+		return
+	case mLockReq:
+		mg.handleLock(p, m)
+		return
 	case mAck:
 		mg.handleAck(p, m)
 	case mInvalidateReply:
 		mg.handleInvReply(p, m)
 	case mAllocReq:
 		mg.handleAlloc(p, m)
-	case mBarrierArrive:
-		mg.handleBarrier(p, m)
-	case mLockReq:
-		mg.handleLock(p, m)
 	case mUnlock:
 		mg.handleUnlock(p, m)
-	case mPushReq:
-		mg.handlePush(p, m)
 	case mPushAck:
 		mg.handlePushAck(p, m)
 	case mDirInit:
@@ -226,6 +233,7 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) {
 	default:
 		panic(fmt.Sprintf("dsm: manager got %v", m.Type))
 	}
+	mg.host().releasePM(m)
 }
 
 // resolve performs the directory side of Figure 3's Translate step and
@@ -272,7 +280,6 @@ func (mg *manager) handleDirInit(p *sim.Proc, m *pmsg) {
 		panic(fmt.Sprintf("dsm: duplicate DIR_INIT for minipage %d", id))
 	}
 	mg.setEntry(id, mg.newEntry(hostset.One(m.From), m.From))
-	mg.host().recyclePM(m) // the DIR_INIT ends here
 	if q := mg.waitInit[id]; len(q) > 0 {
 		delete(mg.waitInit, id)
 		for _, held := range q {
@@ -333,10 +340,10 @@ func (mg *manager) handleRead(p *sim.Proc, m *pmsg) {
 func (mg *manager) readEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 	src := mg.findReplica(e)
 	e.copyset = e.copyset.With(m.From)
-	fwd := mg.host().allocPM()
-	*fwd = *m
+	fwd := mg.host().newPM(*m)
 	fwd.Type = mReadFwd
 	mg.host().Send(p, src, fwd)
+	mg.host().releasePM(m) // the read request ends here
 }
 
 // findReplica picks the host to source the minipage from: the owner if it
@@ -385,10 +392,10 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 			panic(fmt.Sprintf("dsm: write fault on minipage %d with empty copyset", m.Info.ID))
 		}
 		e.owner = m.From
-		grant := mg.host().allocPM()
-		*grant = *m
+		grant := mg.host().newPM(*m)
 		grant.Type = mUpgradeGrant
 		mg.host().Send(p, m.From, grant)
+		mg.host().releasePM(m) // the write request ends here
 		return
 	}
 
@@ -427,23 +434,22 @@ func (mg *manager) sendInvalidates(p *sim.Proc, m *pmsg, mask hostset.Set) {
 			continue
 		}
 		mg.Stats.Invalidations++
-		inv := mg.host().allocPM()
 		// TID/Txn (zero on the clean path) are echoed in the reply so a
 		// replicated home can match it against the open transaction.
-		*inv = pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn}
+		inv := mg.host().newPM(pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn})
 		mg.host().Send(p, h, inv)
 	}
 }
 
 // forwardWrite sends the translated write request to the chosen source,
-// transferring ownership to the requester.
+// transferring ownership to the requester. The request ends here.
 func (mg *manager) forwardWrite(p *sim.Proc, e *dirEntry, m *pmsg, src int) {
 	e.copyset = hostset.One(m.From)
 	e.owner = m.From
-	fwd := mg.host().allocPM()
-	*fwd = *m
+	fwd := mg.host().newPM(*m)
 	fwd.Type = mWriteFwd
 	mg.host().Send(p, src, fwd)
+	mg.host().releasePM(m)
 }
 
 // handleInvReply is "Manager: Handle Invalidate Reply": once every
@@ -463,7 +469,6 @@ func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
 	e := mg.entry(m.Info.ID)
 	// The replying host no longer holds a copy.
 	e.copyset = e.copyset.Without(m.From)
-	mg.host().recyclePM(m) // the invalidate reply ends here
 	if e.invAwait--; e.invAwait > 0 {
 		return
 	}
@@ -473,10 +478,10 @@ func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
 		e.upgrade = false
 		e.copyset = hostset.One(w.From)
 		e.owner = w.From
-		grant := mg.host().allocPM()
-		*grant = *w
+		grant := mg.host().newPM(*w)
 		grant.Type = mUpgradeGrant
 		mg.host().Send(p, w.From, grant)
+		mg.host().releasePM(w) // the pending write ends here
 		return
 	}
 	mg.forwardWrite(p, e, w, e.writeSrc)
@@ -508,9 +513,7 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) {
 		mg.commitClose(p, e, m.Info.ID, m.TID, m.Txn)
 		return
 	}
-	e := mg.entry(m.Info.ID)
-	mg.host().recyclePM(m) // the ack ends here
-	mg.closeTxn(p, e)
+	mg.closeTxn(p, mg.entry(m.Info.ID))
 }
 
 // allocLocal carves minipage(s) for host `from` and creates directory
@@ -544,8 +547,7 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (core.Info, uint64, b
 			mg.setEntry(id, mg.newEntry(hostset.One(from), from))
 		} else {
 			nmp, _ := mpt.ByID(id)
-			init := mg.host().allocPM()
-			*init = pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)}
+			init := mg.host().newPM(pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)})
 			mg.host().Send(p, home, init)
 		}
 	}
@@ -575,14 +577,12 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (core.Info, uint64, b
 func (mg *manager) handleAlloc(p *sim.Proc, m *pmsg) {
 	p.Sleep(mg.costs().MallocBase)
 	info, va, owner := mg.allocLocal(p, m.From, m.AllocSize)
-	reply := mg.host().allocPM()
-	*reply = *m
+	reply := mg.host().newPM(*m)
 	reply.Type = mAllocReply
 	reply.Info = info
 	reply.AllocVA = va
 	reply.Owner = owner
 	mg.host().Send(p, m.From, reply)
-	mg.host().recyclePM(m) // the alloc request ends here
 }
 
 // handleBarrier collects arrivals and releases everyone once the last
@@ -594,10 +594,9 @@ func (mg *manager) handleBarrier(p *sim.Proc, m *pmsg) {
 	}
 	mg.Stats.BarrierEpisodes++
 	for _, a := range arrivals {
-		rel := mg.host().allocPM()
-		*rel = pmsg{Type: mBarrierRelease, From: managerHost, Gen: mg.barrier.Gen, FW: a.FW}
+		rel := mg.host().newPM(pmsg{Type: mBarrierRelease, From: managerHost, Gen: mg.barrier.Gen, FW: a.FW})
 		mg.host().Send(p, a.From, rel)
-		mg.host().recyclePM(a) // the arrival ends here
+		mg.host().releasePM(a) // the arrival ends here
 	}
 }
 
@@ -607,10 +606,9 @@ func (mg *manager) handleLock(p *sim.Proc, m *pmsg) {
 		return // queued: the service holds m until the unlock pops it
 	}
 	mg.Stats.LockAcquisitions++
-	grant := mg.host().allocPM()
-	*grant = pmsg{Type: mLockGrant, From: managerHost, LockID: m.LockID, FW: m.FW}
+	grant := mg.host().newPM(pmsg{Type: mLockGrant, From: managerHost, LockID: m.LockID, FW: m.FW})
 	mg.host().Send(p, m.From, grant)
-	mg.host().recyclePM(m) // immediate grant: the request ends here
+	mg.host().releasePM(m) // immediate grant: the request ends here
 }
 
 // handleUnlock passes the lock to the next waiter or frees it.
@@ -619,15 +617,13 @@ func (mg *manager) handleUnlock(p *sim.Proc, m *pmsg) {
 	if !wasHeld {
 		panic(fmt.Sprintf("dsm: unlock of free lock %d", m.LockID))
 	}
-	mg.host().recyclePM(m) // the unlock ends here
 	if !granted {
 		return
 	}
 	mg.Stats.LockAcquisitions++
-	grant := mg.host().allocPM()
-	*grant = pmsg{Type: mLockGrant, From: managerHost, LockID: next.LockID, FW: next.FW}
+	grant := mg.host().newPM(pmsg{Type: mLockGrant, From: managerHost, LockID: next.LockID, FW: next.FW})
 	mg.host().Send(p, next.From, grant)
-	mg.host().recyclePM(next) // the queued request ends here
+	mg.host().releasePM(next) // the queued request ends here
 }
 
 // handlePush opens a push transaction: order the owner to replicate the
@@ -645,7 +641,7 @@ func (mg *manager) handlePush(p *sim.Proc, m *pmsg) {
 		return
 	}
 	if mg.sys.NumHosts() == 1 {
-		mg.host().recyclePM(m)
+		mg.host().releasePM(m)
 		return // nothing to replicate to
 	}
 	e.busy = true
@@ -672,11 +668,10 @@ func (mg *manager) pushEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 		}
 		e.pushMask = mask
 	}
-	order := mg.host().allocPM()
-	*order = *m
+	order := mg.host().newPM(*m)
 	order.Type = mPushOrder
 	mg.host().Send(p, src, order)
-	mg.host().recyclePM(m) // the push request ends here
+	mg.host().releasePM(m) // the push request ends here
 }
 
 // handlePushAck completes the push once every other host holds a copy.
@@ -697,7 +692,6 @@ func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) {
 	}
 	e := mg.entry(m.Info.ID)
 	e.copyset = e.copyset.With(m.From)
-	mg.host().recyclePM(m) // the push ack ends here
 	if e.pushAwait--; e.pushAwait > 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 
+	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/trace"
 	"millipage/internal/viewsvc"
@@ -129,4 +130,6 @@ type pmsg struct {
 	// Replicated-management payloads (nil/empty off the replicated path).
 	Mir   *mirrorRec     // mMirror / mMirrorAck / mMirrorNak / mStateXfer / mSyncAck
 	Views []viewsvc.View // mViewUpdate: the full published view table
+
+	life cluster.Life // pool lifecycle state (Literal for unpooled headers); see newPM
 }

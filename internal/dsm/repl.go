@@ -215,16 +215,7 @@ func (s *System) hbLinkUp(h int, now sim.Time) bool {
 			return false
 		}
 	}
-	ba, b0 := uint64(1)<<uint(h), uint64(1)<<uint(managerHost)
-	for _, pt := range pl.Partitions {
-		if now < pt.From || now >= pt.Until {
-			continue
-		}
-		if (pt.A&ba != 0 && pt.B&b0 != 0) || (pt.A&b0 != 0 && pt.B&ba != 0) {
-			return false
-		}
-	}
-	return true
+	return !pl.Cut(h, managerHost, now)
 }
 
 // startReplDaemons spawns the heartbeat daemons (hosts 1..n-1) and the
@@ -270,7 +261,7 @@ func (s *System) startReplDaemons() {
 				views := rp0.svc.Views()
 				rp0.applyViews(p, views)
 				for i := 1; i < s.Opt.Hosts; i++ {
-					upd := &pmsg{Type: mViewUpdate, Views: rp0.svc.Views()}
+					upd := h0.newPM(pmsg{Type: mViewUpdate, Views: rp0.svc.Views()})
 					h0.Send(nil, i, upd)
 				}
 			}
@@ -305,53 +296,43 @@ func (s *System) replAt(i int) *replMgr {
 // Dispatch: the replicated front door for directory traffic.
 // ---------------------------------------------------------------------
 
-// dispatchDir routes one directory-bound message under replication.
-// Serving shards dispatch locally; anything else is forwarded to the
+// dispatchDir routes one directory-bound message under replication; like
+// the manager's dispatch, it owns m. Control messages end here. Serving
+// shards dispatch requests locally; anything else is forwarded to the
 // believed primary (dropped if that is ourselves with no serving state:
 // the view will catch up and the requester's retry re-delivers).
 func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 	switch m.Type {
 	case mPing:
 		rp.svc.Heartbeat(m.From, int64(p.Now()))
-		return
 	case mViewUpdate:
 		rp.applyViews(p, m.Views)
-		return
 	case mMirror:
 		rp.handleMirror(p, m)
-		return
 	case mMirrorAck:
 		rp.handleMirrorAck(p, m)
-		return
 	case mMirrorNak:
 		rp.handleMirrorNak(p, m)
-		return
 	case mStateXfer:
 		rp.handleStateXfer(p, m)
-		return
 	case mSyncAck:
 		rp.svc.AckSync(m.Mir.Shard, m.From, m.Mir.View)
-		return
 	case mDirInit:
 		rp.handleSeed(p, m)
-		return
+	default:
+		shard := rp.mg.sys.homeOf(m.Info.ID)
+		if _, ok := rp.serving[shard]; ok {
+			rp.mg.dispatch(p, m)
+			return
+		}
+		if to := rp.views[shard].Primary; to != rp.me {
+			rp.Stats.Forwards++
+			fwd := rp.host().newPM(*m)
+			fwd.Requeued = false
+			rp.host().Send(p, to, fwd)
+		}
 	}
-
-	shard := rp.mg.sys.homeOf(m.Info.ID)
-	if _, ok := rp.serving[shard]; ok {
-		rp.mg.dispatch(p, m)
-		return
-	}
-	// Not serving: forward to the believed primary. If we believe that is
-	// ourselves the view is stale in a way forwarding can't fix — drop,
-	// the requester's retry will find the promoted primary.
-	if to := rp.views[shard].Primary; to != rp.me {
-		rp.Stats.Forwards++
-		fwd := &pmsg{}
-		*fwd = *m
-		fwd.Requeued = false
-		rp.host().Send(p, to, fwd)
-	}
+	rp.host().releasePM(m)
 }
 
 // handleSeed installs a directory seed. The allocation authority sends a
@@ -404,7 +385,7 @@ func (mg *manager) seedRepl(p *sim.Proc, rp *replMgr, id, from int) {
 			rp.handleSeed(p, &pmsg{Type: mDirInit, From: from, Info: info})
 			continue
 		}
-		init := &pmsg{Type: mDirInit, From: from, Info: info}
+		init := mg.host().newPM(pmsg{Type: mDirInit, From: from, Info: info})
 		mg.host().Send(p, to, init)
 	}
 }
@@ -483,7 +464,7 @@ func (rp *replMgr) mirror(p *sim.Proc, sv *shardServe, rec *mirrorRec, run func(
 	sv.seq++
 	rec.Seq = sv.seq
 	rp.Stats.MirrorsSent++
-	mir := &pmsg{Type: mMirror, From: rp.me, Mir: rec}
+	mir := rp.host().newPM(pmsg{Type: mMirror, From: rp.me, Mir: rec})
 	rp.host().Send(p, sv.mirrorTo, mir)
 	sv.pending = append(sv.pending, pendingMirror{seq: rec.Seq, run: run})
 }
@@ -526,7 +507,7 @@ func (rp *replMgr) handleMirror(p *sim.Proc, m *pmsg) {
 	shard := rec.Shard
 	if _, srv := rp.serving[shard]; srv || rec.View < rp.views[shard].Num {
 		rp.Stats.MirrorNaks++
-		nak := &pmsg{Type: mMirrorNak, From: rp.me, Txn: rp.views[shard].Num, Mir: rec}
+		nak := rp.host().newPM(pmsg{Type: mMirrorNak, From: rp.me, Txn: rp.views[shard].Num, Mir: rec})
 		rp.host().Send(p, m.From, nak)
 		return
 	}
@@ -561,7 +542,7 @@ func (rp *replMgr) handleMirror(p *sim.Proc, m *pmsg) {
 			sh.done[rec.TID] = rec.Txn
 		}
 	}
-	ack := &pmsg{Type: mMirrorAck, From: rp.me, Mir: rec}
+	ack := rp.host().newPM(pmsg{Type: mMirrorAck, From: rp.me, Mir: rec})
 	rp.host().Send(p, m.From, ack)
 }
 
@@ -593,7 +574,7 @@ func (rp *replMgr) handleStateXfer(p *sim.Proc, m *pmsg) {
 	}
 	rp.shadows[shard] = sh
 	rp.Stats.StateXfers++
-	ack := &pmsg{Type: mSyncAck, From: rp.me, Mir: &mirrorRec{Shard: shard, View: rec.View}}
+	ack := rp.host().newPM(pmsg{Type: mSyncAck, From: rp.me, Mir: &mirrorRec{Shard: shard, View: rec.View}})
 	rp.host().Send(p, managerHost, ack)
 }
 
@@ -686,8 +667,8 @@ func (rp *replMgr) sendXfer(p *sim.Proc, k int, sv *shardServe, to int) {
 		st.Done = append(st.Done, doneRec{TID: tid, Txn: mg.done[tid]})
 	}
 	rp.Stats.StateXfers++
-	xfer := &pmsg{Type: mStateXfer, From: rp.me,
-		Mir: &mirrorRec{Kind: mirState, Shard: k, View: sv.num, State: st}}
+	xfer := rp.host().newPM(pmsg{Type: mStateXfer, From: rp.me,
+		Mir: &mirrorRec{Kind: mirState, Shard: k, View: sv.num, State: st}})
 	rp.host().Send(p, to, xfer)
 }
 
@@ -744,9 +725,7 @@ func (rp *replMgr) promote(p *sim.Proc, k int, nv viewsvc.View) {
 	}
 	sort.Ints(open)
 	for _, id := range open {
-		m := sh.intents[id]
-		req := &pmsg{}
-		*req = m
+		req := mg.host().newPM(sh.intents[id])
 		req.Requeued = false
 		req.Redrive = true
 		rp.Stats.Redrives++

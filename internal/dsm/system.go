@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"sync"
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
@@ -129,21 +130,63 @@ type System struct {
 	mgrs  []*manager // one directory shard per host
 	repl  []*replMgr // per-host replication layer; nil when Replication is off
 
-	// pools holds the clean-path freelists (recycled protocol headers
-	// and minipage-snapshot buffers), one per calendar shard. On the
+	// pools holds the freelists (recycled protocol headers and
+	// minipage-snapshot buffers), one per calendar shard. On the
 	// sequential engine every host shares pools[0] — the historical
 	// system-wide pool; under the parallel engine each host owns its
 	// shard's pool, so the freelists never cross shards. See
-	// Host.allocPM / Host.allocBuf.
+	// Host.newPM / Host.allocBuf.
 	pools []*hostPool
 
 	threads []*Thread
 }
 
-// hostPool is one calendar shard's clean-path freelists.
+// hostPool is one calendar shard's freelists.
 type hostPool struct {
 	freePM  []*pmsg
 	freeBuf [][]byte
+	spill   *pmSpill // shared header overflow; nil on the sequential engine
+}
+
+// pmSpill balances the header freelists of a sharded engine. Header
+// flows between hosts do not balance: a faulting host sends a request
+// and an ack for every reply it receives, so its home's freelist grows
+// while its own drains. A shard whose freelist reaches 2·spillBatch
+// moves a batch here, and an empty one refills from here before
+// allocating. Headers are fully rewritten by newPM, so which shard
+// reuses which header is invisible to the simulation.
+type pmSpill struct {
+	mu   sync.Mutex
+	free []*pmsg
+}
+
+const spillBatch = 16
+
+// refill moves up to a batch of spilled headers into the shard's
+// freelist.
+func (po *hostPool) refill() {
+	sp := po.spill
+	sp.mu.Lock()
+	k := len(sp.free) - spillBatch
+	if k < 0 {
+		k = 0
+	}
+	po.freePM = append(po.freePM, sp.free[k:]...)
+	clear(sp.free[k:])
+	sp.free = sp.free[:k]
+	sp.mu.Unlock()
+}
+
+// spillOver moves a batch of the shard's surplus headers to the shared
+// overflow.
+func (po *hostPool) spillOver() {
+	k := len(po.freePM) - spillBatch
+	sp := po.spill
+	sp.mu.Lock()
+	sp.free = append(sp.free, po.freePM[k:]...)
+	sp.mu.Unlock()
+	clear(po.freePM[k:])
+	po.freePM = po.freePM[:k]
 }
 
 // New builds a cluster. The memory object, views and privileged view are
@@ -187,9 +230,14 @@ func New(opt Options) (*System, error) {
 		Trace:          opt.Trace,
 	})
 	s := &System{Opt: opt, Eng: rt.Eng, Net: rt.Net, Layout: layout, rt: rt}
+	rt.Net.SetRelease(s.releaseEnvelope)
 	s.pools = make([]*hostPool, rt.Eng.NumShards())
+	var spill *pmSpill
+	if len(s.pools) > 1 {
+		spill = &pmSpill{}
+	}
 	for i := range s.pools {
-		s.pools[i] = &hostPool{}
+		s.pools[i] = &hostPool{spill: spill}
 	}
 
 	for i := 0; i < opt.Hosts; i++ {

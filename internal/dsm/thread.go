@@ -16,10 +16,10 @@ type Thread struct {
 	*cluster.Thread
 	host *Host
 
-	// reqMsg is the thread's reusable fault-request header (clean path
-	// only). A fault transaction never references the request after the
-	// faulting thread wakes — the home forwards a copy and clears
-	// pendingWrite before granting — so one slot per thread suffices.
+	// reqMsg is the template of the thread's in-flight fault request:
+	// the first send and every retry ship a pooled copy of it, so the
+	// home may queue, mutate and free what it receives. A thread has at
+	// most one fault in flight, so one slot suffices.
 	reqMsg pmsg
 
 	// pfSeq numbers this thread's prefetches for the replicated path's
@@ -40,32 +40,50 @@ const prefetchRetryMax = 200 * sim.Millisecond
 // not stall a waiting GangFetch.
 func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, fw *cluster.Wait) {
 	h := t.host
-	req := &pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}
+	req := pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}
 	if h.sys.replAt(h.ID()) != nil && h.sys.rt.Faulty() {
 		t.pfSeq++
 		req.TID = h.sys.rt.TotalThreads()*t.pfSeq + t.ID
 		req.Txn = 1
 		fw.Txn = 1
-		sh := h.Shard()
-		delay := requestRetryBase
-		var rearm func()
-		rearm = func() {
-			if fw.Ev.IsSet() {
-				return
-			}
-			cp := *req
-			cp.Requeued = false
-			cp.Redrive = false
-			h.Send(nil, h.primaryFor(info.ID), &cp)
-			if delay *= 2; delay > prefetchRetryMax {
-				delay = prefetchRetryMax
-			}
-			sh.After(delay, rearm)
+		var r *prefetchRetry
+		if n := len(h.freePF); n > 0 {
+			r = h.freePF[n-1]
+			h.freePF = h.freePF[:n-1]
+		} else {
+			r = &prefetchRetry{h: h}
 		}
-		sh.After(delay, rearm)
+		r.req, r.delay = req, requestRetryBase
+		h.Shard().AfterArg(r.delay, prefetchRearm, r)
 	}
-	h.Send(p, home, req)
+	h.Send(p, home, h.newPM(req))
 	t.Stats.Prefetches++
+}
+
+// prefetchRetry is one replicated prefetch's re-send timer chain: the
+// request template and its backoff. Records are pooled on the host and
+// the timer callback is a plain function, so re-arming never allocates.
+type prefetchRetry struct {
+	h     *Host
+	req   pmsg
+	delay sim.Duration
+}
+
+// prefetchRearm re-sends a pending prefetch to the believed primary and
+// re-arms with doubled backoff, or — once the prefetch is satisfied —
+// ends the chain and recycles its record.
+func prefetchRearm(a any) {
+	r := a.(*prefetchRetry)
+	h := r.h
+	if r.req.FW.Ev.IsSet() {
+		h.freePF = append(h.freePF, r)
+		return
+	}
+	h.Send(nil, h.primaryFor(r.req.Info.ID), h.newPM(r.req))
+	if r.delay *= 2; r.delay > prefetchRetryMax {
+		r.delay = prefetchRetryMax
+	}
+	h.Shard().AfterArg(r.delay, prefetchRearm, r)
 }
 
 // ThreadStats is the per-thread execution-time breakdown reported in
@@ -97,8 +115,7 @@ func (t *Thread) Malloc(size int) uint64 {
 		return va
 	}
 	fw := t.WaitSlot()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw}
+	req := t.host.newPM(pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw})
 	t.host.Send(p, managerHost, req)
 	t.Block(fw)
 	p.Sleep(c.ThreadWake)
@@ -113,8 +130,7 @@ func (t *Thread) Barrier() {
 	c := t.host.Costs()
 	p.Sleep(c.BarrierBase)
 	fw := t.WaitSlot()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mBarrierArrive, From: t.host.ID(), FW: fw}
+	req := t.host.newPM(pmsg{Type: mBarrierArrive, From: t.host.ID(), FW: fw})
 	t.host.Send(p, managerHost, req)
 	t.Block(fw)
 	p.Sleep(c.ThreadWake)
@@ -128,8 +144,7 @@ func (t *Thread) Lock(id int) {
 	p := t.Proc()
 	start := p.Now()
 	fw := t.WaitSlot()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw}
+	req := t.host.newPM(pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw})
 	t.host.Send(p, managerHost, req)
 	t.Block(fw)
 	p.Sleep(t.host.Costs().ThreadWake)
@@ -142,8 +157,7 @@ func (t *Thread) Lock(id int) {
 func (t *Thread) Unlock(id int) {
 	p := t.Proc()
 	start := p.Now()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mUnlock, From: t.host.ID(), LockID: id}
+	req := t.host.newPM(pmsg{Type: mUnlock, From: t.host.ID(), LockID: id})
 	t.host.Send(p, managerHost, req)
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.LockOps++
@@ -176,8 +190,7 @@ func (t *Thread) Prefetch(va uint64, size int) {
 func (t *Thread) Push(va uint64) {
 	p := t.Proc()
 	home, info := t.host.route(p, va)
-	req := t.host.allocPM()
-	*req = pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info}
+	req := t.host.newPM(pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info})
 	t.host.Send(p, home, req)
 }
 

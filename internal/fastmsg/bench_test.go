@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"millipage/internal/faultnet"
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -112,7 +113,7 @@ func TestMsgHopArmedSteadyStateAllocFree(t *testing.T) {
 	nw := New(eng, 2, DefaultParams())
 	far := sim.Time(1 << 60)
 	inj, err := faultnet.NewInjector(faultnet.Plan{
-		Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}},
+		Partitions: []faultnet.Partition{{A: hostset.Of(0), B: hostset.Of(1), From: far, Until: far + 1}},
 	}, 2, 1)
 	if err != nil {
 		t.Fatal(err)

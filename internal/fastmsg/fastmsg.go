@@ -134,10 +134,14 @@ func (pr Params) OneWay(size int) sim.Duration {
 //
 // Allocation-sensitive senders obtain envelopes with AllocMessage
 // instead of allocating literals. A pool envelope is sent at most once
-// and is recycled as soon as the destination's handler returns, so
-// neither sender nor handler may retain it. Literal-constructed
+// and dies when its last holder lets go: at handler return on a clean
+// wire, and once the frame is both handled and cumulatively acked under
+// faults (see reliable.go). Neither sender nor handler may retain the
+// envelope itself. Its Payload and Data live exactly as long: when the
+// envelope dies they go to the network's release function (SetRelease),
+// unless the handler took the payload with Take. Literal-constructed
 // messages keep the historical ownership: the receiver may hold on to
-// them indefinitely.
+// them indefinitely, and they never reach the release function.
 type Message struct {
 	From    int
 	To      int
@@ -198,6 +202,10 @@ type Network struct {
 	// retransmission machinery of reliable.go. Nil on the clean path.
 	rel         *reliability
 	restartHook func(host int)
+
+	// release receives each dying pool envelope's payload and data (see
+	// SetRelease); nil for protocols that do not pool them.
+	release func(m *Message)
 }
 
 // msgPool is one shard's envelope freelist.
@@ -268,17 +276,43 @@ func (ep *Endpoint) allocMessage() *Message {
 }
 
 // recycleMessage returns a delivered pool envelope to this endpoint's
-// shard pool. A recycled envelope is zeroed, so recycling it twice (a
-// handler retained it past return and a later path freed it again)
-// trips the state check here rather than corrupting the pool with an
-// aliased record.
+// shard pool, first handing its payload and data to the network's
+// release function. A recycled envelope is zeroed, so recycling it
+// twice (a handler retained it past return and a later path freed it
+// again) trips the state check here rather than corrupting the pool
+// with an aliased record.
 func (ep *Endpoint) recycleMessage(m *Message) {
 	if !m.pooled || m.state != msgDelivered {
 		panic("fastmsg: recycle of an envelope that is not a delivered pool envelope (double free?)")
 	}
+	if rel := ep.nw.release; rel != nil && (m.Payload != nil || m.Data != nil) {
+		rel(m)
+	}
 	*m = Message{}
 	m.state = msgRecycled
 	ep.pool.free = append(ep.pool.free, m)
+}
+
+// SetRelease installs the protocol's release function: fn receives
+// every pool envelope the moment its last hold drops, with the payload
+// (unless a handler took it) and data still attached, so the protocol
+// can recycle them. On a clean wire that is right after the handler
+// returns, on the destination's shard; under faults it is once the
+// frame is both handled and cumulatively acked, so a retransmission, a
+// wire duplicate or the codec self-check never sees a recycled buffer.
+// fn must not block. Set it before any traffic.
+func (nw *Network) SetRelease(fn func(m *Message)) { nw.release = fn }
+
+// Take moves ownership of the payload from the network to the calling
+// handler, which frees it itself later: a handler that keeps its
+// payload past return must take it. Only valid inside the handler.
+func (m *Message) Take() any {
+	if m.pooled && m.state != msgDelivered {
+		panic("fastmsg: Take outside the destination's handler")
+	}
+	p := m.Payload
+	m.Payload = nil
+	return p
 }
 
 // retainMessage records one more reliability-layer holder of m. Only
@@ -597,7 +631,9 @@ func (ep *Endpoint) sweepGap() sim.Duration {
 
 // serve is the endpoint's service-thread body: receive, charge receive
 // CPU, run the protocol handler, then (under faults) acknowledge the
-// completed sequence number and (clean path) recycle the envelope.
+// completed sequence number and drop the delivery hold, or (clean path)
+// recycle the envelope — releasing its payload and data either way once
+// no holder is left.
 func (ep *Endpoint) serve(p *sim.Proc) {
 	for {
 		m := ep.ready.Get(p)

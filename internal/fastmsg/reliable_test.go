@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"millipage/internal/faultnet"
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -130,7 +131,7 @@ func TestReliableEverything(t *testing.T) {
 	plan := faultnet.Plan{
 		Drop: 0.2, Dup: 0.1, Reorder: 0.3, Jitter: 3 * sim.Millisecond,
 		Partitions: []faultnet.Partition{
-			{A: 0b001, B: 0b110, From: sim.Time(5 * sim.Millisecond), Until: sim.Time(60 * sim.Millisecond)},
+			{A: hostset.Of(0), B: hostset.Of(1, 2), From: sim.Time(5 * sim.Millisecond), Until: sim.Time(60 * sim.Millisecond)},
 		},
 		Crashes: []faultnet.Crash{
 			{Host: 1, At: sim.Time(20 * sim.Millisecond), RestartAt: sim.Time(80 * sim.Millisecond)},
@@ -144,7 +145,7 @@ func TestReliableEverything(t *testing.T) {
 func TestReliablePartitionHeal(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := New(eng, 2, DefaultParams())
-	cut := faultnet.Partition{A: 0b01, B: 0b10,
+	cut := faultnet.Partition{A: hostset.Of(0), B: hostset.Of(1),
 		From: 0, Until: sim.Time(40 * sim.Millisecond)}
 	inj, err := faultnet.NewInjector(faultnet.Plan{Partitions: []faultnet.Partition{cut}}, 2, 1)
 	if err != nil {
@@ -391,4 +392,95 @@ func TestInstallFaultsAfterTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectPanic(t, "after traffic", func() { nw.InstallFaults(inj) })
+}
+
+// relPayload tracks one message through handler and release.
+type relPayload struct {
+	handled, released bool
+}
+
+// TestReleaseWaitsForAck: the network hands a pool envelope's payload
+// and data to the release function exactly once, only after the handler
+// ran — and, under faults, only once the frame has left the sender's
+// retransmission log, so no retransmission or wire duplicate can carry a
+// recycled buffer. A payload the handler took never reaches the release
+// function; its data still does.
+func TestReleaseWaitsForAck(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *faultnet.Plan
+	}{
+		{"clean", nil},
+		{"drop-heavy", &faultnet.Plan{Drop: 0.3, Dup: 0.2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const msgs = 300
+			eng := sim.NewEngine(3)
+			nw := New(eng, 2, DefaultParams())
+			if tc.plan != nil {
+				inj, err := faultnet.NewInjector(*tc.plan, 2, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw.InstallFaults(inj)
+			}
+			// The release function runs on simulated processes, so
+			// violations are recorded and reported after the run.
+			released, dataReleased, taken := 0, 0, 0
+			var bad []string
+			nw.SetRelease(func(m *Message) {
+				if nw.rel != nil {
+					for _, q := range nw.rel.hosts[m.From].send[m.To].outstanding() {
+						if q == m {
+							bad = append(bad, fmt.Sprintf("seq %d released while still in the send log", m.Seq))
+						}
+					}
+				}
+				if len(m.Data) > 0 {
+					dataReleased++
+				}
+				if m.Payload == nil {
+					return
+				}
+				pl := m.Payload.(*relPayload)
+				if !pl.handled || pl.released {
+					bad = append(bad, fmt.Sprintf("seq %d released with handled=%v released=%v", m.Seq, pl.handled, pl.released))
+				}
+				pl.released = true
+				released++
+			})
+			k := 0
+			nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {
+				m.Payload.(*relPayload).handled = true
+				if k++; k%3 == 0 {
+					m.Take()
+					taken++
+				}
+			})
+			eng.At(sim.Time(30*sim.Second), eng.Stop)
+			eng.Spawn("sender", func(p *sim.Proc) {
+				ep := nw.Endpoint(0)
+				for i := 0; i < msgs; i++ {
+					m := ep.AllocMessage()
+					m.Payload = &relPayload{}
+					m.Data = make([]byte, 16)
+					ep.Send(p, 1, m)
+					p.Sleep(50 * sim.Microsecond)
+				}
+				for dataReleased < msgs {
+					p.Sleep(sim.Millisecond)
+				}
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(bad) > 0 {
+				t.Fatalf("%d lifecycle violations, first: %s", len(bad), bad[0])
+			}
+			if dataReleased != msgs || released+taken != msgs || taken != msgs/3 {
+				t.Fatalf("released %d payloads and %d data buffers, %d taken, want %d data and %d+%d payloads",
+					released, dataReleased, taken, msgs, msgs-msgs/3, msgs/3)
+			}
+		})
+	}
 }

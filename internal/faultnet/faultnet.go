@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -43,8 +44,8 @@ type Plan struct {
 	Jitter  sim.Duration
 
 	// Partitions are scheduled bidirectional cuts: while From <= now <
-	// Until, no frame crosses between a host in mask A and a host in
-	// mask B (either direction). Windows may overlap.
+	// Until, no frame crosses between a host in set A and a host in
+	// set B (either direction). Windows may overlap.
 	Partitions []Partition
 
 	// Crashes are scheduled host failures. See the Crash doc for the
@@ -57,12 +58,26 @@ type Plan struct {
 	RTOMax sim.Duration
 }
 
-// Partition is one scheduled bidirectional cut between host sets A and B
-// (bitmasks, bit i = host i). It heals at Until.
+// Partition is one scheduled bidirectional cut between host sets A and
+// B. It heals at Until. The sets span every host id a cluster admits
+// (hostset.CapHosts), so a cut is exact at any cluster size.
 type Partition struct {
-	A, B uint64
-	From sim.Time
+	A, B  hostset.Set
+	From  sim.Time
 	Until sim.Time
+}
+
+// Halves returns the two sides of a cut through the middle of a
+// hosts-host cluster: hosts [0, hosts/2) against [hosts/2, hosts).
+func Halves(hosts int) (a, b hostset.Set) {
+	for h := 0; h < hosts; h++ {
+		if h < hosts/2 {
+			a = a.With(h)
+		} else {
+			b = b.With(h)
+		}
+	}
+	return a, b
 }
 
 // Crash takes a host's network stack down at At and restarts it at
@@ -124,18 +139,15 @@ func (pl *Plan) Validate(hosts int) error {
 	if pl.Reorder > 0 && pl.Jitter == 0 {
 		return fmt.Errorf("faultnet: Reorder = %v needs a nonzero Jitter", pl.Reorder)
 	}
-	allHosts := uint64(1)<<uint(hosts) - 1
-	if hosts >= 64 {
-		allHosts = ^uint64(0)
-	}
-	for i, pt := range pl.Partitions {
-		if pt.A == 0 || pt.B == 0 {
+	for i := range pl.Partitions {
+		pt := &pl.Partitions[i]
+		if pt.A.Empty() || pt.B.Empty() {
 			return fmt.Errorf("faultnet: partition %d has an empty side", i)
 		}
-		if pt.A&^allHosts != 0 || pt.B&^allHosts != 0 {
+		if pt.A.Last() >= hosts || pt.B.Last() >= hosts {
 			return fmt.Errorf("faultnet: partition %d names hosts outside the %d-host cluster", i, hosts)
 		}
-		if pt.A&pt.B != 0 {
+		if pt.A.Intersects(pt.B) {
 			return fmt.Errorf("faultnet: partition %d has overlapping sides", i)
 		}
 		if pt.Until <= pt.From {
@@ -228,14 +240,20 @@ func (in *Injector) ExtraDelay() sim.Duration {
 // active partition window at time now.
 func (in *Injector) Partitioned(a, b int, now sim.Time) bool {
 	if len(in.plan.Partitions) == 0 {
-		return false
+		return false // plans without partitions pay nothing per frame
 	}
-	ba, bb := uint64(1)<<uint(a), uint64(1)<<uint(b)
-	for _, pt := range in.plan.Partitions {
+	return in.plan.Cut(a, b, now)
+}
+
+// Cut reports whether hosts a and b are on opposite sides of a partition
+// window active at time now.
+func (pl *Plan) Cut(a, b int, now sim.Time) bool {
+	for i := range pl.Partitions {
+		pt := &pl.Partitions[i]
 		if now < pt.From || now >= pt.Until {
 			continue
 		}
-		if (pt.A&ba != 0 && pt.B&bb != 0) || (pt.A&bb != 0 && pt.B&ba != 0) {
+		if (pt.A.Has(a) && pt.B.Has(b)) || (pt.A.Has(b) && pt.B.Has(a)) {
 			return true
 		}
 	}

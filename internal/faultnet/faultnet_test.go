@@ -3,6 +3,7 @@ package faultnet
 import (
 	"testing"
 
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func TestEnabled(t *testing.T) {
 		{Drop: 0.1},
 		{Dup: 0.1},
 		{Reorder: 0.1, Jitter: sim.Millisecond},
-		{Partitions: []Partition{{A: 1, B: 2, From: 0, Until: 10}}},
+		{Partitions: []Partition{{A: hostset.Of(0), B: hostset.Of(1), From: 0, Until: 10}}},
 		{Crashes: []Crash{{Host: 0, At: 5, RestartAt: 10}}},
 	}
 	for i, pl := range cases {
@@ -34,7 +35,7 @@ func TestEnabled(t *testing.T) {
 func TestValidate(t *testing.T) {
 	good := Plan{
 		Drop: 0.2, Dup: 0.1, Reorder: 0.3, Jitter: 2 * sim.Millisecond,
-		Partitions: []Partition{{A: 0b0011, B: 0b1100, From: 10, Until: 20}},
+		Partitions: []Partition{{A: hostset.Of(0, 1), B: hostset.Of(2, 3), From: 10, Until: 20}},
 		Crashes:    []Crash{{Host: 3, At: 100, RestartAt: 200}},
 	}
 	if err := good.Validate(4); err != nil {
@@ -45,12 +46,13 @@ func TestValidate(t *testing.T) {
 		{Dup: -0.1},
 		{Reorder: 0.5}, // no jitter
 		{Jitter: -1},
-		{Partitions: []Partition{{A: 0, B: 1, From: 0, Until: 10}}},        // empty side
-		{Partitions: []Partition{{A: 1, B: 1, From: 0, Until: 10}}},        // overlap
-		{Partitions: []Partition{{A: 1, B: 2, From: 10, Until: 10}}},       // never heals
-		{Partitions: []Partition{{A: 1, B: 1 << 10, From: 0, Until: 10}}},  // host out of range
-		{Crashes: []Crash{{Host: 9, At: 0, RestartAt: 10}}},                // host out of range
-		{Crashes: []Crash{{Host: 0, At: 10, RestartAt: 10}}},               // never restarts
+		{Partitions: []Partition{{B: hostset.Of(0), From: 0, Until: 10}}},                      // empty side
+		{Partitions: []Partition{{A: hostset.Of(0), B: hostset.Of(0, 1), From: 0, Until: 10}}}, // overlap
+		{Partitions: []Partition{{A: hostset.Of(0), B: hostset.Of(1), From: 10, Until: 10}}},   // never heals
+		{Partitions: []Partition{{A: hostset.Of(0), B: hostset.Of(10), From: 0, Until: 10}}},   // host out of range
+		{Partitions: []Partition{{A: hostset.Of(0), B: hostset.Of(64), From: 0, Until: 10}}},   // out of range past one word
+		{Crashes: []Crash{{Host: 9, At: 0, RestartAt: 10}}},                                    // host out of range
+		{Crashes: []Crash{{Host: 0, At: 10, RestartAt: 10}}},                                   // never restarts
 	}
 	for i, pl := range bad {
 		if err := pl.Validate(4); err == nil {
@@ -114,8 +116,8 @@ func TestInjectorSeedIndependence(t *testing.T) {
 
 func TestPartitioned(t *testing.T) {
 	plan := Plan{Partitions: []Partition{
-		{A: 0b0001, B: 0b0110, From: 100, Until: 200},
-		{A: 0b1000, B: 0b0001, From: 150, Until: 250},
+		{A: hostset.Of(0), B: hostset.Of(1, 2), From: 100, Until: 200},
+		{A: hostset.Of(3), B: hostset.Of(0), From: 150, Until: 250},
 	}}
 	in, err := NewInjector(plan, 4, 1)
 	if err != nil {
@@ -126,15 +128,15 @@ func TestPartitioned(t *testing.T) {
 		at   sim.Time
 		want bool
 	}{
-		{0, 1, 99, false},   // before the window
-		{0, 1, 100, true},   // window start is inclusive
-		{1, 0, 150, true},   // symmetric
-		{0, 2, 199, true},   // last instant
-		{0, 1, 200, false},  // healed
-		{1, 2, 150, false},  // same side
-		{3, 0, 160, true},   // second window
-		{3, 1, 160, false},  // pair not split by any window
-		{0, 3, 249, true},   // second window, reversed
+		{0, 1, 99, false},  // before the window
+		{0, 1, 100, true},  // window start is inclusive
+		{1, 0, 150, true},  // symmetric
+		{0, 2, 199, true},  // last instant
+		{0, 1, 200, false}, // healed
+		{1, 2, 150, false}, // same side
+		{3, 0, 160, true},  // second window
+		{3, 1, 160, false}, // pair not split by any window
+		{0, 3, 249, true},  // second window, reversed
 	}
 	for _, c := range cases {
 		if got := in.Partitioned(c.a, c.b, c.at); got != c.want {
@@ -153,5 +155,23 @@ func TestRTOBounds(t *testing.T) {
 	lo, hi = pl.RTOBounds()
 	if hi < lo {
 		t.Errorf("RTO bounds inverted: %v > %v", lo, hi)
+	}
+}
+
+// TestPartitionedAboveSixtyFourHosts: partition sides are host sets, not
+// 64-bit masks, so a cut through a 100-host cluster separates hosts on
+// either side of the 64 boundary exactly (a uint64 mask lost every host
+// from 64 up).
+func TestPartitionedAboveSixtyFourHosts(t *testing.T) {
+	a, b := Halves(100)
+	in, err := NewInjector(Plan{Partitions: []Partition{{A: a, B: b, From: 0, Until: 10}}}, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !in.Partitioned(1, 99, 5) || !in.Partitioned(70, 49, 5) {
+		t.Error("hosts on opposite halves of a 100-host cut are not partitioned")
+	}
+	if in.Partitioned(50, 99, 5) || in.Partitioned(1, 49, 5) || in.Partitioned(1, 99, 10) {
+		t.Error("hosts on the same half, or after the heal, reported partitioned")
 	}
 }

@@ -73,3 +73,23 @@ func (s Set) First() int {
 	}
 	return -1
 }
+
+// Last returns the highest member, or -1 when the set is empty.
+func (s Set) Last() int {
+	for i := len(s) - 1; i >= 0; i-- {
+		if w := s[i]; w != 0 {
+			return i<<6 + 63 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// Intersects reports whether s and o share a member.
+func (s Set) Intersects(o Set) bool {
+	for i := range s {
+		if s[i]&o[i] != 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -57,3 +57,19 @@ func TestWithWithoutAreValues(t *testing.T) {
 		t.Error("First on empty != -1")
 	}
 }
+
+// TestLastAndIntersects covers the partition-validation helpers across
+// word boundaries.
+func TestLastAndIntersects(t *testing.T) {
+	if (Set{}).Last() != -1 {
+		t.Error("Last of the empty set != -1")
+	}
+	for _, h := range []int{0, 63, 64, 99, CapHosts - 1} {
+		if got := Of(0, h).Last(); got != h {
+			t.Errorf("Last(Of(0,%d)) = %d", h, got)
+		}
+	}
+	if !Of(1, 99).Intersects(Of(99)) || Of(1, 64).Intersects(Of(0, 65)) {
+		t.Error("Intersects disagrees with membership")
+	}
+}

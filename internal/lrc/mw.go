@@ -135,6 +135,8 @@ type mwmsg struct {
 	MP       int         // minipage id (mwDiffReq, mwDiffReply)
 	Seqs     []uint64    // requested interval seqs (mwDiffReq)
 	DiffsOut []mwDiffOut // served diffs (mwDiffReply)
+
+	life cluster.Life // pool lifecycle state (Literal for mwDataMarker); see allocMW
 }
 
 // mwInterval is one closed interval's retained diffs, kept by the
@@ -220,7 +222,7 @@ type MWSystem struct {
 	locks   *cluster.LockService[*mwmsg]
 	maxvc   []uint64 // barrier-episode scratch; every release shares it
 
-	// pools holds the clean-path freelists (recycled protocol headers,
+	// pools holds the freelists (recycled protocol headers,
 	// twin/snapshot/diff buffers and interval records), one per calendar
 	// shard. On the sequential engine every host shares pools[0] — the
 	// historical system-wide freelists; under the parallel engine each
@@ -233,7 +235,7 @@ type MWSystem struct {
 	Stats MWStats
 }
 
-// mwPool is one calendar shard's clean-path freelists.
+// mwPool is one calendar shard's freelists.
 type mwPool struct {
 	freeMW     []*mwmsg
 	freeBuf    [][]byte
@@ -242,48 +244,92 @@ type mwPool struct {
 	freeNotice []*mwNotice
 }
 
-// allocMW returns a protocol header for a message whose consumer will
-// recycle it. The caller must set every field it needs; recycleMW zeroes
-// the rest. Under fault injection the reliability layer may retransmit a
-// payload after its first delivery, so pooling is clean-path only.
+// Protocol headers follow cluster.Life's ownership rule on clean and
+// faulty runs alike. A handler that keeps a header past its return — to
+// turn it around as the reply, to park it in pendingHdr, diffReply or
+// acqMsg, or to hold it in the barrier or lock service — takes it with
+// takeMW; everything else, and every fetch snapshot, comes back through
+// releaseEnvelope when its envelope dies.
+
+// allocMW returns a protocol header owned by the caller. The caller
+// must set every field it needs; freeMW zeroed the rest.
 func (h *MWHost) allocMW() *mwmsg {
 	po := h.pool
-	if n := len(po.freeMW); n > 0 && !h.sys.rt.Faulty() {
-		m := po.freeMW[n-1]
+	var m *mwmsg
+	if n := len(po.freeMW); n > 0 {
+		m = po.freeMW[n-1]
 		po.freeMW = po.freeMW[:n-1]
-		return m
+	} else {
+		m = &mwmsg{}
 	}
-	return &mwmsg{}
+	m.life = cluster.Owned
+	return m
 }
 
-// recycleMW returns a fully consumed pooled header to this host's
-// shard's freelist, keeping its slice capacities for reuse.
-func (h *MWHost) recycleMW(m *mwmsg) {
-	if h.sys.rt.Faulty() {
-		return
+// releaseMW frees a header the protocol owns: one from allocMW that was
+// never sent, or one a handler took.
+func (h *MWHost) releaseMW(m *mwmsg) {
+	if m.life.Release(m.Type) {
+		h.freeMW(m)
 	}
+}
+
+// freeMW returns a header to this host's shard's freelist, keeping its
+// slice capacities for reuse.
+func (h *MWHost) freeMW(m *mwmsg) {
 	for i := range m.Notices {
 		m.Notices[i] = mwCNotice{}
 	}
 	for i := range m.DiffsOut {
 		m.DiffsOut[i] = mwDiffOut{}
 	}
-	*m = mwmsg{VC: m.VC[:0], Notices: m.Notices[:0], Seqs: m.Seqs[:0], DiffsOut: m.DiffsOut[:0]}
+	*m = mwmsg{Type: m.Type, life: cluster.Free, // the type names it in lifecycle panics
+		VC: m.VC[:0], Notices: m.Notices[:0], Seqs: m.Seqs[:0], DiffsOut: m.DiffsOut[:0]}
 	h.pool.freeMW = append(h.pool.freeMW, m)
+}
+
+// Send ships a protocol header; it shadows the substrate's untyped Send
+// so every header passes the lifecycle check.
+func (h *MWHost) Send(p *sim.Proc, to int, m *mwmsg) {
+	h.SendSized(p, to, m, h.Costs().HeaderSize)
+}
+
+// SendSized is Send with an explicit wire size (encoded diffs ride in
+// the header).
+func (h *MWHost) SendSized(p *sim.Proc, to int, m *mwmsg, size int) {
+	m.life.Send(m.Type)
+	h.Host.SendSized(p, to, m, size)
+}
+
+// takeMW claims a delivered header for the handler, which must free it
+// with releaseMW (or send it on) once done.
+func takeMW(fm *fastmsg.Message) *mwmsg {
+	m := fm.Take().(*mwmsg)
+	m.life.Take()
+	return m
+}
+
+// releaseEnvelope is the network's release function: it recycles a dead
+// envelope's header (unless a handler took it) and fetch snapshot into
+// the destination host's freelists.
+func (s *MWSystem) releaseEnvelope(fm *fastmsg.Message) {
+	h := s.hosts[fm.To]
+	if m, _ := fm.Payload.(*mwmsg); m != nil && m.life.NetRelease(m.Type) {
+		h.freeMW(m)
+	}
+	h.recycleBuf(fm.Data)
 }
 
 // allocBuf returns a byte buffer of length n (twin, minipage snapshot,
 // fetch payload); pass 0 for an empty append target (encoded diffs).
 func (h *MWHost) allocBuf(n int) []byte {
-	if !h.sys.rt.Faulty() {
-		po := h.pool
-		for i := len(po.freeBuf) - 1; i >= 0; i-- {
-			if cap(po.freeBuf[i]) >= n {
-				b := po.freeBuf[i][:n]
-				po.freeBuf[i] = po.freeBuf[len(po.freeBuf)-1]
-				po.freeBuf = po.freeBuf[:len(po.freeBuf)-1]
-				return b
-			}
+	po := h.pool
+	for i := len(po.freeBuf) - 1; i >= 0; i-- {
+		if cap(po.freeBuf[i]) >= n {
+			b := po.freeBuf[i][:n]
+			po.freeBuf[i] = po.freeBuf[len(po.freeBuf)-1]
+			po.freeBuf = po.freeBuf[:len(po.freeBuf)-1]
+			return b
 		}
 	}
 	return make([]byte, n)
@@ -292,7 +338,7 @@ func (h *MWHost) allocBuf(n int) []byte {
 // recycleBuf returns a fully consumed buffer to this host's shard's
 // freelist.
 func (h *MWHost) recycleBuf(b []byte) {
-	if h.sys.rt.Faulty() || cap(b) == 0 {
+	if cap(b) == 0 {
 		return
 	}
 	h.pool.freeBuf = append(h.pool.freeBuf, b)
@@ -301,7 +347,7 @@ func (h *MWHost) recycleBuf(b []byte) {
 // allocIval returns an interval record with an empty diff map.
 func (h *MWHost) allocIval(n int) *mwInterval {
 	po := h.pool
-	if k := len(po.freeIval); k > 0 && !h.sys.rt.Faulty() {
+	if k := len(po.freeIval); k > 0 {
 		iv := po.freeIval[k-1]
 		po.freeIval = po.freeIval[:k-1]
 		return iv
@@ -312,12 +358,11 @@ func (h *MWHost) allocIval(n int) *mwInterval {
 // recycleIval returns a garbage-collected interval to the freelist,
 // recycling its retained diff encodings and notice minipage list. GC
 // runs two barriers after the interval closed, and a barrier drains
-// every in-flight diff reply, home flush and granted notice, so nothing
-// can still alias either here.
+// every in-flight diff reply, home flush and granted notice, so no
+// handler can still read either here. (A diff reply's envelope may
+// still sit unacked in a faulty run's send log, but its header is only
+// ever zeroed again, never read.)
 func (h *MWHost) recycleIval(iv *mwInterval) {
-	if h.sys.rt.Faulty() {
-		return
-	}
 	for id, enc := range iv.diffs { //detlint:ok freelist order is invisible: every pooled buffer is fully overwritten before use
 		h.recycleBuf(enc)
 		delete(iv.diffs, id)
@@ -332,15 +377,13 @@ func (h *MWHost) recycleIval(iv *mwInterval) {
 // allocMPs returns an int slice of length n for a notice's minipage
 // list, retained by the creator's interval record until GC.
 func (h *MWHost) allocMPs(n int) []int {
-	if !h.sys.rt.Faulty() {
-		po := h.pool
-		for i := len(po.freeMPs) - 1; i >= 0; i-- {
-			if cap(po.freeMPs[i]) >= n {
-				b := po.freeMPs[i][:n]
-				po.freeMPs[i] = po.freeMPs[len(po.freeMPs)-1]
-				po.freeMPs = po.freeMPs[:len(po.freeMPs)-1]
-				return b
-			}
+	po := h.pool
+	for i := len(po.freeMPs) - 1; i >= 0; i-- {
+		if cap(po.freeMPs[i]) >= n {
+			b := po.freeMPs[i][:n]
+			po.freeMPs[i] = po.freeMPs[len(po.freeMPs)-1]
+			po.freeMPs = po.freeMPs[:len(po.freeMPs)-1]
+			return b
 		}
 	}
 	return make([]int, n)
@@ -350,7 +393,7 @@ func (h *MWHost) allocMPs(n int) []int {
 // once the notice is logged (the log keeps a value copy).
 func (h *MWHost) allocNotice() *mwNotice {
 	po := h.pool
-	if n := len(po.freeNotice); n > 0 && !h.sys.rt.Faulty() {
+	if n := len(po.freeNotice); n > 0 {
 		nt := po.freeNotice[n-1]
 		po.freeNotice = po.freeNotice[:n-1]
 		return nt
@@ -362,9 +405,6 @@ func (h *MWHost) allocNotice() *mwNotice {
 // freelist. The MPs backing array stays with the creator's interval
 // record.
 func (h *MWHost) recycleNotice(n *mwNotice) {
-	if h.sys.rt.Faulty() {
-		return
-	}
 	*n = mwNotice{}
 	h.pool.freeNotice = append(h.pool.freeNotice, n)
 }
@@ -379,13 +419,13 @@ type MWHost struct {
 
 	twins     map[int][]byte // minipage id -> twin (the dirty set)
 	dirtyInfo map[int]core.Info
-	copies    map[int]core.Info    // non-home minipages with a local copy
-	seen      map[int][]uint64     // minipage id -> per-creator interval floor the copy reflects
-	pend      map[int][]pendEntry  // minipage id -> notices invalidated but not yet merged
-	ivals     []*mwInterval        // own closed intervals, ivals[i] has seq ivalBase+1+i
-	ivalBase  uint64               // intervals with seq <= ivalBase are purged
-	floorPrev uint64               // GC floor: own seq as of two barriers ago
-	floorCur  uint64               // own seq as of the last barrier
+	copies    map[int]core.Info   // non-home minipages with a local copy
+	seen      map[int][]uint64    // minipage id -> per-creator interval floor the copy reflects
+	pend      map[int][]pendEntry // minipage id -> notices invalidated but not yet merged
+	ivals     []*mwInterval       // own closed intervals, ivals[i] has seq ivalBase+1+i
+	ivalBase  uint64              // intervals with seq <= ivalBase are purged
+	floorPrev uint64              // GC floor: own seq as of two barriers ago
+	floorCur  uint64              // own seq as of the last barrier
 
 	pendingHdr map[int]*mwmsg // fetch header awaiting its data message, by sender
 
@@ -405,7 +445,7 @@ type MWHost struct {
 	relFlush   []mwFlush
 	mergeDiffs []mwFetched
 
-	// pool is this host's shard's clean-path freelists (see MWSystem.pools).
+	// pool is this host's shard's freelists (see MWSystem.pools).
 	pool *mwPool
 
 	// stats is this host's share of MWSystem.Stats, kept per-host so the
@@ -461,6 +501,7 @@ func NewMW(opt Options) (*MWSystem, error) {
 	for i := range s.pools {
 		s.pools[i] = &mwPool{}
 	}
+	rt.Net.SetRelease(s.releaseEnvelope)
 	for i := 0; i < opt.Hosts; i++ {
 		as := vm.NewAddressSpace()
 		region, err := core.NewRegion(layout, as)
@@ -748,7 +789,7 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 					panic(fmt.Sprintf("lrc-mw: purged interval %d@%d for dirty minipage %d", d.Seq, cr, id))
 				}
 				h.mergeDiffs = diffs[:0]
-				h.recycleMW(reply)
+				h.releaseMW(reply)
 				return false
 			}
 			h.stats.DiffsFetched++
@@ -756,7 +797,7 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 			// carries the diff for pend[a+i]'s notice.
 			diffs = append(diffs, mwFetched{vtsum: pend[a+i].vtsum, enc: d.Enc})
 		}
-		h.recycleMW(reply)
+		h.releaseMW(reply)
 		a = b
 	}
 	sortFetched(diffs)
@@ -1000,7 +1041,7 @@ func (t *MWThread) acquire() {
 	h.acqNotices = nil
 	h.acqMaxVC = nil
 	if h.acqMsg != nil {
-		h.recycleMW(h.acqMsg)
+		h.releaseMW(h.acqMsg)
 		h.acqMsg = nil
 	}
 }
@@ -1114,7 +1155,7 @@ func (s *MWSystem) grantLock(p *sim.Proc, h *MWHost, m *mwmsg) {
 		}
 	}
 	h.Send(p, m.From, g)
-	h.recycleMW(m)
+	h.releaseMW(m)
 }
 
 // HandleMessage is the multi-writer server-thread dispatcher.
@@ -1126,9 +1167,9 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	case mwAllocReq:
 		p.Sleep(c.MallocBase)
 		info, va, home := s.allocLocal(m.From, m.AllocSize)
-		// Request headers turn around in place (the requester is blocked
-		// on FW and holds no other reference); the reply's consumer
-		// recycles them.
+		// Request headers turn around in place: the handler takes the
+		// request from the network and sends it back as the reply.
+		m = takeMW(fm)
 		m.Type = mwAllocReply
 		m.Info = info
 		m.AllocVA = va
@@ -1140,7 +1181,6 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		m.FW.VA = m.AllocVA
 		m.FW.Home = m.Home
 		m.FW.Ev.Set()
-		h.recycleMW(m)
 
 	case mwFetchReq:
 		data := h.allocBuf(m.Info.Size)
@@ -1148,12 +1188,13 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			panic(err)
 		}
 		to := m.From
+		m = takeMW(fm)
 		m.Type = mwFetchReply
 		h.Send(p, to, m)
 		h.SendData(p, to, data, mwDataMarker)
 
 	case mwFetchReply:
-		h.pendingHdr[fm.From] = m
+		h.pendingHdr[fm.From] = takeMW(fm)
 
 	case mwFetchData:
 		hdr, ok := h.pendingHdr[fm.From]
@@ -1164,14 +1205,13 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		if err := h.Region.WritePriv(hdr.Info.Base, fm.Data); err != nil {
 			panic(err)
 		}
-		h.recycleBuf(fm.Data)
 		p.Sleep(c.SetProt)
 		if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, vm.ReadOnly); err != nil {
 			panic(err)
 		}
 		hdr.FW.Info = hdr.Info
 		hdr.FW.Ev.Set()
-		h.recycleMW(hdr)
+		h.releaseMW(hdr)
 
 	case mwDiffFlush:
 		cur := h.allocBuf(m.Info.Size)
@@ -1194,6 +1234,7 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		}
 		p.Sleep(twindiff.ApplyCost(len(m.Diff)))
 		to := m.From
+		m = takeMW(fm)
 		m.Type = mwDiffAck
 		m.From = h.ID()
 		m.Diff = nil // the encoding stays with the sender's interval record
@@ -1203,9 +1244,9 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		if h.flushAwait--; h.flushAwait == 0 {
 			h.flushDone.Set()
 		}
-		h.recycleMW(m)
 
 	case mwDiffReq:
+		m = takeMW(fm)
 		size := c.HeaderSize
 		for _, seq := range m.Seqs {
 			if seq <= h.ivalBase {
@@ -1227,13 +1268,14 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		h.SendSized(p, to, m, size)
 
 	case mwDiffReply:
-		h.diffReply = m
+		h.diffReply = takeMW(fm)
 		m.FW.Ev.Set()
 
 	case mwBarrierArrive:
 		if h.ID() != 0 {
 			panic("lrc-mw: barrier arrive at non-coordinator")
 		}
+		m = takeMW(fm) // held by the barrier service until the episode completes
 		if m.Notice != nil {
 			h.logNotice(m.Notice)
 			h.recycleNotice(m.Notice)
@@ -1277,13 +1319,14 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 				}
 			}
 			h.Send(p, a.From, rel)
-			h.recycleMW(a)
+			h.releaseMW(a)
 		}
 		// Every host's clock now converges to maxvc, so nothing in the log
 		// can ever be granted again: clear it.
 		s.log = s.log[:0]
 
 	case mwBarrierRelease:
+		m = takeMW(fm) // acquire frees it
 		h.acqNotices = m.Notices
 		h.acqMaxVC = m.MaxVC
 		h.acqMsg = m
@@ -1293,12 +1336,14 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		if h.ID() != 0 {
 			panic("lrc-mw: lock request at non-coordinator")
 		}
+		m = takeMW(fm) // queued by the lock service, or freed by grantLock
 		if !s.locks.Acquire(m.LockID, m) {
 			return
 		}
 		s.grantLock(p, h, m)
 
 	case mwLockGrant:
+		m = takeMW(fm) // acquire frees it
 		h.acqNotices = m.Notices
 		h.acqMaxVC = nil
 		h.acqMsg = m
@@ -1320,7 +1365,6 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		if granted {
 			s.grantLock(p, h, next)
 		}
-		h.recycleMW(m)
 
 	default:
 		panic(fmt.Sprintf("lrc-mw: unexpected message %d", int(m.Type)))

@@ -342,3 +342,33 @@ func TestReplayerDivergence(t *testing.T) {
 		t.Fatalf("Consumed = %d", r.Consumed())
 	}
 }
+
+// TestPartitionHealAboveSixtyFourHosts is the regression for partition
+// masks that overflowed past 64 hosts (1<<h is 0 for h >= 64, so the
+// second half of a big cluster silently escaped the cut): the
+// partition-heal preset validates at 256 hosts and really separates the
+// halves, and a small 100-host DRF run under it passes its oracle.
+func TestPartitionHealAboveSixtyFourHosts(t *testing.T) {
+	plan, err := FaultPlan("partition-heal", 256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Validate(256); err != nil {
+		t.Fatalf("partition-heal at 256 hosts: %v", err)
+	}
+	pt := plan.Partitions[0]
+	if !plan.Cut(0, 255, pt.From) || !plan.Cut(127, 128, pt.From) || plan.Cut(128, 255, pt.From) {
+		t.Fatal("partition-heal at 256 hosts does not cut the cluster into halves")
+	}
+	if testing.Short() {
+		t.Skip("100-host chaos run")
+	}
+	rep, err := Explore(Options{Protocol: "millipage", Workload: "drf", Faults: "partition-heal",
+		Hosts: 100, Seed: 1, Schedules: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failure != nil {
+		t.Fatalf("100-host partition-heal DRF run failed: %v", rep.Failure.Schedule.Failure)
+	}
+}

@@ -15,8 +15,10 @@ import (
 )
 
 // Histogram is a log-scale latency histogram: bucket i covers durations
-// in [2^i, 2^(i+1)) microsecond-eighths, giving ~12% resolution from
-// 125 ns to over an hour with 64 buckets. The zero value is ready to use.
+// in [2^i, 2^(i+1)) microsecond-eighths, one octave per bucket, from
+// 125 ns to over an hour with 64 buckets. Quantiles therefore resolve to
+// within a factor of 2: each reports its bucket's upper edge, a power-of-
+// two multiple of 125 ns. The zero value is ready to use.
 type Histogram struct {
 	buckets [64]uint64
 	count   uint64
@@ -132,9 +134,9 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // P50, P99 and P999 are the serving-report quantiles, as Quantile
-// shorthands. P999 is the one the bucket layout was sized for: with
-// ~12% resolution buckets the extreme tail still lands in its own
-// bucket instead of saturating a coarse top bin.
+// shorthands, each at the buckets' one-octave (~2x) resolution. The 64
+// buckets reach past an hour, so even the extreme tail lands in its own
+// bucket instead of saturating a top bin.
 func (h *Histogram) P50() sim.Duration  { return h.Quantile(0.50) }
 func (h *Histogram) P99() sim.Duration  { return h.Quantile(0.99) }
 func (h *Histogram) P999() sim.Duration { return h.Quantile(0.999) }

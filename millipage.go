@@ -148,10 +148,17 @@ type Config struct {
 	// Engine selects the event engine: "seq" (or "", the default) runs
 	// the classic sequential calendar; "par" shards the calendar per host
 	// and executes shards concurrently inside conservative windows whose
-	// lookahead is the network's minimum cross-host latency. Observable
-	// results (virtual times, counters, digests) are identical; only
-	// wall-clock time changes. "par" is incompatible with Faults and
-	// tracing.
+	// lookahead is the network's minimum cross-host latency. "par" is
+	// incompatible with Faults and tracing. The engines agree on
+	// application results (checksums, barrier episodes, footprints), but
+	// not on everything (DESIGN.md §7): with PerfectTimers they also
+	// agree on every protocol counter and, in all but a few workloads, on
+	// virtual time bit for bit — same-instant cross-host send ties break
+	// differently, moving virtual time by well under 0.1%. With NT timers
+	// each shard draws timer jitter from its own random stream, which
+	// acts like a seed change: virtual times and the fault/traffic
+	// counters of lock-based applications shift. Under "par" the outcome
+	// never depends on ParWorkers.
 	Engine string
 
 	// ParWorkers bounds the parallel engine's worker goroutines; 0 means
@@ -174,10 +181,10 @@ type Config struct {
 // configured protocol.
 type Cluster struct {
 	protocol string
-	mp       *dsm.System    // Protocol "millipage"
-	ivySys   *ivy.System    // Protocol "ivy"
-	lrcSys   *lrc.System    // Protocol "lrc"
-	mwSys    *lrc.MWSystem  // Protocol "lrc-mw"
+	mp       *dsm.System   // Protocol "millipage"
+	ivySys   *ivy.System   // Protocol "ivy"
+	lrcSys   *lrc.System   // Protocol "lrc"
+	mwSys    *lrc.MWSystem // Protocol "lrc-mw"
 	ran      bool
 }
 
