@@ -85,18 +85,23 @@ type Result struct {
 
 // EngineShape records how the event engine executed the run (see
 // millipage.Cluster.EngineStats): 1 shard / 0 windows on the sequential
-// engine, hosts+1 shards on the parallel one.
+// engine, hosts+1 shards on the parallel one. Events and Switches are
+// the engine's deterministic work counters (millipage.Cluster.EngineCounts).
 type EngineShape struct {
 	Shards    int
 	Workers   int
 	Windows   uint64
 	MaxActive int
+	Events    uint64
+	Switches  uint64
 }
 
 // engineShape captures a cluster's execution shape after Run.
 func engineShape(c *millipage.Cluster) EngineShape {
 	shards, workers, windows, maxActive := c.EngineStats()
-	return EngineShape{Shards: shards, Workers: workers, Windows: windows, MaxActive: maxActive}
+	events, switches := c.EngineCounts()
+	return EngineShape{Shards: shards, Workers: workers, Windows: windows, MaxActive: maxActive,
+		Events: events, Switches: switches}
 }
 
 func (r Result) String() string {

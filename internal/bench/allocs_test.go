@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"millipage/internal/apps"
 )
 
 // TestMsgHopAllocFree pins the clean message path's steady state: with
@@ -61,6 +63,33 @@ func checkAllocsPin(t *testing.T, name string, bench func(b *testing.B)) {
 // before it shows up as a slow simulator.
 func TestE2ESOR8AllocsRegression(t *testing.T) {
 	checkAllocsPin(t, "E2ESOR8", benchE2ESOR8)
+}
+
+// TestE2ESOR8EngineCounts pins the event engine's deterministic work
+// counters on the E2ESOR8 workload, on both engines (the parallel one at
+// two worker widths, which must agree). Unlike wall-clock time these are
+// exact: a change to how processes switch must leave them untouched, and
+// a change that makes the simulator dispatch more events or switch more
+// often than before shows here as a number, not a timing.
+func TestE2ESOR8EngineCounts(t *testing.T) {
+	for _, tc := range []struct {
+		engine           string
+		workers          int
+		events, switches uint64
+	}{
+		{"seq", 0, 89909, 52379},
+		{"par", 1, 102238, 69592},
+		{"par", 2, 102238, 69592},
+	} {
+		r, err := apps.RunSOR(apps.Params{Hosts: 8, Scale: 0.1, Seed: 1, Engine: tc.engine, ParWorkers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Engine.Events != tc.events || r.Engine.Switches != tc.switches {
+			t.Errorf("%s engine, %d workers: events=%d switches=%d, want %d and %d",
+				tc.engine, tc.workers, r.Engine.Events, r.Engine.Switches, tc.events, tc.switches)
+		}
+	}
 }
 
 // TestE2ESOR64ParAllocsRegression extends the allocation gate to the

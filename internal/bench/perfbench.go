@@ -52,6 +52,7 @@ var perfSuite = []struct {
 }{
 	{"EventDispatch", PerfBaseline{88.31, 2, 0}, benchEventDispatch},
 	{"ProcessSwitch", PerfBaseline{575.0, 3, 0}, benchProcessSwitch},
+	{"ProcessHandoff", PerfBaseline{handoffBaselineNs, 0, 0}, benchProcessHandoff},
 	{"MsgHop", PerfBaseline{2387, 18, 0}, benchMsgHop},
 	{"MsgHopReliable", PerfBaseline{2517.5, 0, 44}, benchMsgHopReliable},
 	{"E2ESOR8", PerfBaseline{114463687, 455085, 24604741}, benchE2ESOR8},
@@ -145,13 +146,45 @@ func benchEventDispatch(b *testing.B) {
 	}
 }
 
-// benchProcessSwitch: one Sleep per iteration (fast-path when the
-// calendar allows, park/resume handshake otherwise).
+// benchProcessSwitch: one Sleep per iteration. With a lone sleeper the
+// calendar is always empty, so every Sleep takes the fast path and no
+// process switch happens: the row measures that fast path (see
+// ProcessHandoff for the switch itself).
 func benchProcessSwitch(b *testing.B) {
 	e := sim.NewEngine(1)
 	e.Spawn("sleeper", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// The ProcessHandoff baseline is the same ping-pong measured on the
+// goroutine engine that preceded coroutine processes (each switch an
+// unbuffered-channel handoff through the Go scheduler), on the machine
+// that regenerated BENCH_sim.json with this row.
+const handoffBaselineNs = 711
+
+// benchProcessHandoff: two processes ping-pong through a pair of
+// Queues, so every op is a round trip of two real process switches —
+// the cost ProcessSwitch never sees, because its lone sleeper always
+// takes the Sleep fast path.
+func benchProcessHandoff(b *testing.B) {
+	e := sim.NewEngine(1)
+	there, back := sim.NewQueue[int](e), sim.NewQueue[int](e)
+	e.Spawn("ping", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			there.Put(i)
+			back.Get(p)
+		}
+	})
+	e.Spawn("pong", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			back.Put(there.Get(p))
 		}
 	})
 	b.ResetTimer()
@@ -386,7 +419,7 @@ func WritePerfBench(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	report.Note = fmt.Sprintf("wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the ParSpeedup row whose baseline is the sequential-engine E2ESOR64 measured in the same invocation (speedup = seq wall / par wall at %d shard workers on %d machine cores — below 1 when cores < workers), the E2EServe8 row whose baseline was frozen when the serving subsystem landed, and the E2EServeDropHeavy row whose baseline is the same scenario measured just before faulty runs pooled their payloads",
+	report.Note = fmt.Sprintf("wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the ParSpeedup row whose baseline is the sequential-engine E2ESOR64 measured in the same invocation (speedup = seq wall / par wall at %d shard workers on %d machine cores — below 1 when cores < workers), the E2EServe8 row whose baseline was frozen when the serving subsystem landed, the E2EServeDropHeavy row whose baseline is the same scenario measured just before faulty runs pooled their payloads, and the ProcessHandoff row whose baseline is the same ping-pong on the goroutine-handoff engine that preceded coroutine processes (measured on the machine that wrote this file; ProcessSwitch measures the Sleep fast path, in which no switch happens)",
 		parBenchWorkers, runtime.GOMAXPROCS(0))
 	report.Benchmarks = pts
 	if err := writeBenchReport(path, report); err != nil {

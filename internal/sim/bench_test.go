@@ -26,8 +26,9 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the goroutine-handshake cost of one
-// Sleep (park + resume round trip).
+// BenchmarkProcessSwitch measures one Sleep of a lone process: always
+// the Sleep fast path, so no process switch happens (BenchmarkQueueHandoff
+// measures real switches).
 func BenchmarkProcessSwitch(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("sleeper", func(p *Proc) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -31,14 +32,14 @@ const maxTime = Time(math.MaxInt64)
 //
 // In the single-shard engine all methods must be called either from the
 // goroutine that calls Run (for setup and engine callbacks) or from a
-// simulated process's own goroutine while that process is the running
-// process; the engine enforces the one-runnable-process-at-a-time
-// discipline itself. In a sharded engine the same discipline holds per
-// shard: each shard runs at most one of its processes at a time, and all
-// simulation state a shard's processes and callbacks touch must belong to
-// that shard (cross-shard effects travel through Shard.Post, which
-// enforces the lookahead contract). Engine-level convenience methods
-// (Spawn, At, Now, ...) address shard 0.
+// simulated process while that process is the running process; the
+// engine enforces the one-runnable-process-at-a-time discipline itself.
+// In a sharded engine the same discipline holds per shard: each shard
+// runs at most one of its processes at a time, and all simulation state
+// a shard's processes and callbacks touch must belong to that shard
+// (cross-shard effects travel through Shard.Post, which enforces the
+// lookahead contract). Engine-level convenience methods (Spawn, At,
+// Now, ...) address shard 0.
 type Engine struct {
 	shards []*Shard
 	single bool // exactly one shard: the classic sequential engine
@@ -49,8 +50,8 @@ type Engine struct {
 	// window safe (see Run). Declared by the transport via SetLookahead.
 	lookahead Duration
 
-	workers   int  // goroutines executing shard windows; 1 = serial
-	maxActive int  // high-water mark of shards active in one window
+	workers   int // goroutines executing shard windows; 1 = serial
+	maxActive int // high-water mark of shards active in one window
 	windows   uint64
 
 	// finalNow is the sharded engine's answer to Now(): the current
@@ -75,8 +76,7 @@ type Engine struct {
 	parWG     sync.WaitGroup
 	poolSize  int
 
-	stopped atomic.Bool // Stop was called; may be set from any shard
-	reaping bool        // Run is over; woken processes must exit, not run
+	stopped atomic.Bool // Stop was called (or Run is over); may be set from any shard
 	running bool
 
 	// Exploration state (explore.go); all nil/empty unless SetExplorer
@@ -118,12 +118,15 @@ type Shard struct {
 	ring     []event
 	ringHead int
 
-	rng     *rand.Rand
-	parked  chan struct{} // signalled when the shard's window is over
-	nextID  int
-	procs   map[int]*Proc
-	liveFG  int // live non-daemon processes on this shard
-	current *Proc // process currently executing, nil when engine code runs
+	rng    *rand.Rand
+	nextID int
+	procs  map[int]*Proc
+	liveFG int // live non-daemon processes on this shard
+
+	// handTo is the process the shard's driver resumes next, left by the
+	// process that just gave up the processor (park, finish); nil ends
+	// the window.
+	handTo *Proc
 
 	// horizon is the exclusive upper bound on executable event times for
 	// the current window; maxTime on the single-shard engine. A shard
@@ -147,6 +150,12 @@ type Shard struct {
 	// window; the barrier merges all outboxes in (at, src, seq) order.
 	outbox []xev
 	xseq   uint64
+
+	// events counts popped calendar and ring entries; switches counts
+	// resumes of a process other than the one giving up the processor.
+	// Both are pure functions of the event order (see Engine.Events).
+	events   uint64
+	switches uint64
 }
 
 // xev is one cross-shard event in flight between windows.
@@ -193,7 +202,6 @@ func newEngine(seed int64, shards int) *Engine {
 			e:       e,
 			id:      i,
 			rng:     rand.New(rand.NewSource(shardSeed(seed, i))),
-			parked:  make(chan struct{}),
 			procs:   make(map[int]*Proc),
 			horizon: maxTime,
 			fgHalt:  shards == 1,
@@ -252,6 +260,29 @@ func (e *Engine) MaxShardsActive() int { return e.maxActive }
 
 // Windows reports how many conservative windows the sharded run executed.
 func (e *Engine) Windows() uint64 { return e.windows }
+
+// Events reports how many events the run dispatched (process resumes
+// and engine callbacks, summed over shards). Sleep fast-path advances
+// are not events. Call it after Run.
+func (e *Engine) Events() uint64 {
+	var n uint64
+	for _, s := range e.shards {
+		n += s.events
+	}
+	return n
+}
+
+// Switches reports how many process switches the run made: resumes of
+// a process other than the one that gave up the processor, summed over
+// shards. A process whose own resume is the next event continues
+// without a switch and is not counted. Call it after Run.
+func (e *Engine) Switches() uint64 {
+	var n uint64
+	for _, s := range e.shards {
+		n += s.switches
+	}
+	return n
+}
 
 // Now returns the current virtual time. On a sharded engine the shards'
 // clocks advance independently inside a window, so Now reports the
@@ -419,49 +450,56 @@ func (s *Shard) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (s *Shard) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	e := s.e
 	s.nextID++
 	p := &Proc{
-		e:      e,
+		e:      s.e,
 		sh:     s,
 		id:     s.nextID,
 		name:   name,
 		daemon: daemon,
-		resume: make(chan struct{}),
 		state:  stateNew,
 	}
 	s.procs[p.id] = p
 	if !daemon {
 		s.liveFG++
 	}
-	go func() {
-		<-p.resume
-		if e.reaping {
-			return // reaped before ever running
-		}
-		if e.x != nil {
-			// Under exploration a panic is a finding, not a crash: record
-			// it, stop the run, and hand control back to the engine.
-			defer func() {
-				if r := recover(); r != nil {
-					e.explorePanic(p.name, r)
-					p.finish()
-				}
-			}()
-		}
-		fn(p)
-		p.finish()
-	}()
+	p.resume, p.stop = newCoro(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	p.state = stateScheduled
 	s.scheduleResume(s.now, p)
 	return p
 }
 
-// finish retires the process: it runs on the process's own goroutine as
-// the last thing before it exits (normally or, under exploration, from
-// a recovered panic). The departing goroutine dispatches the shard's
-// next event itself, so retirement hands control on with a single
-// channel send.
+// errReaped unwinds a process that Run abandoned (see reapProcs).
+var errReaped = errors.New("sim: process reaped after Run")
+
+// run is the body of p's coroutine: fn, then retirement. Unwinding
+// from reapProcs ends here. Under exploration a panic is a finding,
+// not a crash: it is recorded, the run stops, and control goes back to
+// the driver. Otherwise the panic leaves the coroutine and propagates
+// out of the driver — on the single-shard engine, out of Engine.Run on
+// its caller's goroutine.
+func (p *Proc) run(fn func(*Proc)) {
+	defer func() {
+		switch r := recover(); {
+		case r == nil || r == errReaped: // finished, or unwound by reapProcs
+		case p.e.x != nil:
+			p.e.explorePanic(p.name, r)
+			p.finish()
+		default:
+			panic(r)
+		}
+	}()
+	fn(p)
+	p.finish()
+}
+
+// finish retires the process as the last thing its coroutine does
+// (normally or, under exploration, after a recovered panic). Like park,
+// it dispatches the shard's events itself and leaves the driver the
+// next process to resume.
 func (p *Proc) finish() {
 	s := p.sh
 	p.state = stateDone
@@ -472,12 +510,7 @@ func (p *Proc) finish() {
 			s.fgEnd = s.now
 		}
 	}
-	s.current = nil
-	if next := s.nextProc(); next != nil {
-		s.handoff(next)
-	} else {
-		s.parked <- struct{}{}
-	}
+	s.handTo = s.nextProc()
 }
 
 // nextProc advances the shard on the calling goroutine: it pops and
@@ -487,10 +520,9 @@ func (p *Proc) finish() {
 // drained under fgHalt, or no event left below the horizon), signalled
 // by returning nil.
 //
-// Centralizing dispatch here is what makes a process switch cost one
-// channel handoff instead of two: the goroutine giving up the processor
-// resumes its successor directly rather than bouncing through a
-// dedicated scheduler goroutine (see park and finish).
+// The process giving up the processor calls it itself (park, finish),
+// so engine callbacks between two resumes run inline on its coroutine,
+// and a process whose own resume comes next continues with no switch.
 func (s *Shard) nextProc() *Proc {
 	e := s.e
 	for {
@@ -507,6 +539,7 @@ func (s *Shard) nextProc() *Proc {
 			ev = s.popNext()
 		}
 		s.now = ev.at
+		s.events++
 		switch {
 		case ev.proc != nil:
 			if ev.proc.state == stateDone {
@@ -519,15 +552,6 @@ func (s *Shard) nextProc() *Proc {
 			ev.fn(ev.arg)
 		}
 	}
-}
-
-// handoff transfers control to next and returns immediately. The calling
-// goroutine must block on its own resume channel (park), wait for the
-// window to end (runWindow), or exit (finish) right after.
-func (s *Shard) handoff(next *Proc) {
-	next.state = stateRunning
-	s.current = next
-	next.resume <- struct{}{}
 }
 
 // wake moves a blocked process into its shard's calendar at the shard's
@@ -545,11 +569,15 @@ func (e *Engine) wake(p *Proc) {
 // runWindow drives the shard until nextProc finds no more work below
 // the horizon; on return every process of the shard is parked. It is
 // the body of classic Run (horizon = maxTime) and of one shard's turn
-// inside a conservative window.
+// inside a conservative window, and the only place a process is
+// resumed: each resume switches the calling goroutine into the
+// process's coroutine and returns once the process parks or finishes,
+// having named its successor in handTo.
 func (s *Shard) runWindow() {
-	if next := s.nextProc(); next != nil {
-		s.handoff(next)
-		<-s.parked
+	for next := s.nextProc(); next != nil; next = s.handTo {
+		next.state = stateRunning
+		s.switches++
+		next.resume()
 	}
 }
 
@@ -591,7 +619,9 @@ func (e *ErrDeadlock) Error() string {
 // Stop is called, or no progress is possible. It returns *ErrDeadlock if
 // non-daemon processes remain blocked with an empty calendar, and nil
 // otherwise. Run must be called exactly once, from the goroutine that
-// created the engine.
+// created the engine. Without an explorer, a panic in a process body
+// or engine callback propagates out of Run on the single-shard engine
+// (on a sharded engine, out of whichever goroutine ran that window).
 //
 // On a sharded engine Run executes conservative windows: each window
 // spans [m, m+L) where m is the earliest pending event across all
@@ -629,20 +659,19 @@ func (e *Engine) Run() error {
 
 // reapProcs runs when Run returns: every process still parked at that
 // point (abandoned daemons and, after Stop or a deadlock, blocked
-// processes) is woken one last time and exits instead of resuming.
-// Without this the goroutines block on their resume channels forever,
-// and — since each one references the engine — keep the entire
-// simulation heap live; programs that run many simulations (benchmarks,
-// model checkers, parameter sweeps) then accumulate stacks and heaps
-// without bound.
+// processes) is stopped. Its yield in park returns false and park
+// unwinds it with errReaped, running its deferred calls; a process
+// that never started never runs. Without this the coroutines stay
+// suspended forever and — since each one references the engine — keep
+// the entire simulation heap live; programs that run many simulations
+// (benchmarks, model checkers, parameter sweeps) then accumulate stacks
+// and heaps without bound. Setting stopped first makes any simulation
+// call in an unwinding process's deferred code dispatch nothing.
 func (e *Engine) reapProcs() {
-	e.reaping = true
+	e.stopped.Store(true)
 	for _, s := range e.shards {
 		for _, p := range s.procs { //detlint:ok post-run teardown, order invisible
-			if p.state == stateDone {
-				continue
-			}
-			p.resume <- struct{}{} // wakes in park or at the spawn gate; exits
+			p.stop()
 		}
 	}
 }
@@ -670,16 +699,23 @@ func (e *Engine) deadlockError() error {
 // engine callback on any shard.
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
-// Proc is a simulated process (thread). All Proc methods must be called
-// from the process's own goroutine while it is the running process.
+// Proc is a simulated process (thread), run as a coroutine of its
+// shard's driver (runWindow). All Proc methods must be called from the
+// process itself while it is the running process.
 type Proc struct {
 	e      *Engine
 	sh     *Shard
 	id     int
 	name   string
 	daemon bool
-	resume chan struct{}
 	state  procState
+
+	// The coroutine (coro.go): resume runs the process until it parks or
+	// finishes, yield hands the processor back to the driver (false once
+	// the process is reaped), stop unwinds a suspended process.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 
 	// waitOn is the Signal the process most recently parked on; consulted
 	// only while state == stateBlocked, for deadlock reporting.
@@ -711,32 +747,24 @@ func (p *Proc) Now() Time { return p.sh.now }
 // have arranged a wakeup (calendar event or Signal registration) before
 // calling park, or the process deadlocks.
 //
-// The parking goroutine dispatches events itself until the next process
-// switch (nextProc). Two outcomes avoid channel traffic entirely: the
-// next resume may be this process's own (sleep across engine callbacks),
-// and engine callbacks between resumes run inline. Otherwise control
-// moves to the successor — or, when the window is over, back to the
-// shard driver — with a single send.
+// The parking process dispatches events itself until the next process
+// switch (nextProc). Two outcomes need no switch at all: the next
+// resume may be this process's own (sleep across engine callbacks), and
+// engine callbacks between resumes run inline. Otherwise the process
+// names its successor — nil when the window is over — and yields to
+// the shard's driver, which resumes the successor.
 func (p *Proc) park(st procState) {
 	s := p.sh
 	p.state = st
-	s.current = nil
 	next := s.nextProc()
 	if next == p {
 		p.state = stateRunning
-		s.current = p
 		return
 	}
-	if next != nil {
-		s.handoff(next)
-	} else {
-		s.parked <- struct{}{} // window over: wake the driver, then await resume
+	s.handTo = next
+	if !p.yield(struct{}{}) {
+		panic(errReaped) // Run is over: unwind instead of resuming
 	}
-	<-p.resume
-	if p.e.reaping {
-		runtime.Goexit() // run over: unwind instead of resuming
-	}
-	p.state = stateRunning
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations
@@ -747,7 +775,7 @@ func (p *Proc) park(st procState) {
 // lies inside the shard's window, the resume record this Sleep would
 // push is exactly the event the engine would pop next. The process then
 // advances the clock itself and keeps running — same execution order, no
-// heap traffic, and no goroutine handshake. Events already scheduled for
+// heap traffic, and no process switch. Events already scheduled for
 // the wakeup instant have smaller sequence numbers than the would-be
 // resume, so the fast path requires the calendar minimum to lie strictly
 // after the wakeup time.

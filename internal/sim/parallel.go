@@ -139,18 +139,20 @@ func (e *Engine) runShards(active []*Shard) {
 // window until it drains". The channel send happens after the barrier
 // writes parActive and before the worker reads it, and parWG.Wait
 // happens after the worker's last steal — those two edges are the only
-// synchronization a window needs.
+// synchronization a window needs. Each worker receives the channel as
+// an argument rather than reading e.parWork: a worker that never got a
+// token has no happens-before edge to stopPool's write of that field.
 func (e *Engine) growPool(n int) {
 	if e.parWork == nil {
 		e.parWork = make(chan struct{})
 	}
 	for ; e.poolSize < n; e.poolSize++ {
-		go func() {
-			for range e.parWork {
+		go func(work <-chan struct{}) {
+			for range work {
 				e.stealShards(e.parActive)
 				e.parWG.Done()
 			}
-		}()
+		}(e.parWork)
 	}
 }
 

@@ -2,11 +2,11 @@
 // simulation engine.
 //
 // The engine advances a virtual clock measured in nanoseconds. Simulated
-// processes are ordinary goroutines, but the engine guarantees that at most
-// one process executes at any instant: a process runs until it blocks on a
-// simulation primitive (Sleep, Wait, queue receive, ...), at which point
-// control returns to the engine, which dispatches the next event in
-// timestamp order. Events with equal timestamps are delivered in the order
+// processes are runtime coroutines, resumed one at a time by the engine's
+// driver loop, so at most one process executes at any instant: a process
+// runs until it blocks on a simulation primitive (Sleep, Wait, queue
+// receive, ...), at which point control returns to the engine, which
+// dispatches the next event in timestamp order. Events with equal timestamps are delivered in the order
 // they were scheduled, so a run is a pure function of the program and the
 // engine's seed.
 //

@@ -347,6 +347,15 @@ func (c *Cluster) EngineStats() (shards, workers int, windows uint64, maxActive 
 	return eng.NumShards(), eng.ParWorkers(), eng.Windows(), eng.MaxShardsActive()
 }
 
+// EngineCounts reports, after Run, how many events the engine
+// dispatched and how many process switches it made. Both are
+// deterministic per seed, so they measure simulator work the way the
+// protocol counters measure protocol work.
+func (c *Cluster) EngineCounts() (events, switches uint64) {
+	eng := c.runtime().Eng
+	return eng.Events(), eng.Switches()
+}
+
 // Run executes body on ThreadsPerHost application threads on every host
 // and blocks until all of them finish, returning the run's Report. A
 // Cluster runs one application; create a new Cluster per run.
